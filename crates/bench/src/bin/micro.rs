@@ -13,7 +13,7 @@ use mntp::TrendFilter;
 use netsim::kernel::Sim;
 use netsim::wifi::{WifiChannel, WifiConfig};
 use ntp_wire::{sntp_profile, Exchange, NtpPacket, NtpTimestamp};
-use ntpd_sim::select::{select_survivors, PeerCandidate};
+use sntp::select::{select_survivors, PeerCandidate};
 
 fn bench_packet_codec(s: &mut Suite) {
     let packet = sntp_profile::client_request(NtpTimestamp::from_parts(1000, 42));
@@ -100,25 +100,6 @@ fn bench_des_kernel(s: &mut Suite) {
             world
         })
     });
-    // Same workload on the fn-pointer fast path: no Box, no vtable, and
-    // the periodic pattern recycles slab slots instead of growing.
-    s.bench("des_kernel_10k_events_fn", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            let mut world = 0u64;
-            fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                *w += 1;
-                if !(*w).is_multiple_of(10) {
-                    sim.schedule_fn_in(SimDuration::from_millis(1), tick);
-                }
-            }
-            for i in 0..1000 {
-                sim.schedule_fn_at(SimTime::from_millis(i), tick);
-            }
-            sim.run_to_completion(&mut world);
-            world
-        })
-    });
 }
 
 fn bench_par_pool(s: &mut Suite) {
@@ -186,39 +167,6 @@ fn bench_exchange(s: &mut Suite) {
             perform_exchange(&mut tb, pool.server_mut(id), &mut clock, SimTime::from_secs(t))
         })
     });
-}
-
-fn bench_scheduler_backends(s: &mut Suite) {
-    use netsim::kernel::SchedulerKind;
-    // Same self-rescheduling poll-timer workload on both queue backends:
-    // 4096 concurrent timers rescheduling at mixed 64 ms – 8 s cadences
-    // until ~20k events have fired — the bounded-horizon, deep-queue
-    // shape the fleet presents (one poll timer per client), where the
-    // heap pays log(pending) per op. The heap variant is the reference
-    // for the speedup claim.
-    for (name, kind) in [
-        ("timing_wheel_poll_timers_4k", SchedulerKind::Wheel),
-        ("binary_heap_poll_timers_4k", SchedulerKind::Heap),
-    ] {
-        s.bench(name, move |b| {
-            b.iter(|| {
-                let mut sim: Sim<u64> = Sim::with_scheduler(kind);
-                let mut world = 0u64;
-                fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                    *w += 1;
-                    if *w < 20_000 {
-                        let d = 64i64 << (*w % 8);
-                        sim.schedule_fn_in(SimDuration::from_millis(d), tick);
-                    }
-                }
-                for i in 0..4096 {
-                    sim.schedule_fn_at(SimTime::from_millis(i), tick);
-                }
-                sim.run_to_completion(&mut world);
-                world
-            })
-        });
-    }
 }
 
 fn bench_fleet_kernel(s: &mut Suite) {
@@ -564,7 +512,6 @@ fn main() {
     bench_trend_filter(&mut s);
     bench_select(&mut s);
     bench_des_kernel(&mut s);
-    bench_scheduler_backends(&mut s);
     bench_par_pool(&mut s);
     bench_wifi_channel(&mut s);
     bench_exchange(&mut s);

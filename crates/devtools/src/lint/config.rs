@@ -20,9 +20,11 @@
 //! ```
 //!
 //! All paths are `/`-separated and relative to the repo root; a prefix
-//! matches the path itself or anything below it.
+//! matches the path itself or anything below it. Every path must name a
+//! file or directory that exists ([`Config::stale_paths`]).
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Parsed policy.
 #[derive(Clone, Debug, Default)]
@@ -65,6 +67,30 @@ impl Config {
             return false;
         }
         true
+    }
+
+    /// Every `[workspace] exclude`, `[skip]`, `[panic]` and
+    /// `[interproc]` path that names no file or directory under `root`,
+    /// labelled with its key (`[skip] no-socket: "src/net_io.rs"`). A
+    /// stale path is the same silent typo as an unknown key: the policy
+    /// it states covers nothing.
+    pub fn stale_paths(&self, root: &Path) -> Vec<String> {
+        let mut keyed: Vec<(String, &[String])> =
+            vec![("[workspace] exclude".into(), &self.exclude)];
+        keyed.extend(
+            self.skip.iter().map(|(lint, paths)| (format!("[skip] {lint}"), paths.as_slice())),
+        );
+        keyed.push(("[panic] paths".into(), &self.panic_paths));
+        keyed.push(("[interproc] artifact_paths".into(), &self.artifact_paths));
+        keyed
+            .iter()
+            .flat_map(|(key, paths)| {
+                paths
+                    .iter()
+                    .filter(|p| !root.join(p).exists())
+                    .map(move |p| format!("{key}: \"{p}\""))
+            })
+            .collect()
     }
 }
 

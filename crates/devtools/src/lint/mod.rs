@@ -283,13 +283,24 @@ fn resolve_pragmas(rel: &str, pragmas: Vec<rules::Pragma>, out: &mut Outcome) {
 }
 
 /// Read and parse `root/lint.toml`, or fall back to the built-in policy.
+/// A policy path that matches nothing under `root` is an error, like any
+/// other typo the strict parser rejects.
 pub fn load_config(root: &Path) -> io::Result<Config> {
     let path = root.join("lint.toml");
     if !path.exists() {
         return Ok(Config::fallback());
     }
     let text = fs::read_to_string(&path)?;
-    config::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let cfg = config::parse(&text).map_err(invalid)?;
+    let stale = cfg.stale_paths(root);
+    if !stale.is_empty() {
+        return Err(invalid(format!(
+            "lint.toml: path(s) matching no file or directory: {}",
+            stale.join(", ")
+        )));
+    }
+    Ok(cfg)
 }
 
 /// Lint one file's source text into `out` — token rules plus the

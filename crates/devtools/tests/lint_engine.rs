@@ -421,6 +421,47 @@ fn config_parses_interproc_artifact_paths() {
     assert_eq!(cfg.artifact_paths, vec!["crates/experiments/src"]);
 }
 
+#[test]
+fn config_reports_paths_matching_nothing_under_root() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cfg = config::parse(
+        r#"
+[workspace]
+exclude = ["tests/lint_fixtures"]
+
+[skip]
+no-env = ["src/par.rs"]
+no-socket = ["src/net_io.rs"]
+
+[panic]
+paths = ["src/lint", "src/lnt"]
+
+[interproc]
+artifact_paths = ["src/sketch.rs"]
+"#,
+    )
+    .expect("parses");
+    assert_eq!(
+        cfg.stale_paths(root),
+        vec![r#"[skip] no-socket: "src/net_io.rs""#, r#"[panic] paths: "src/lnt""#]
+    );
+}
+
+#[test]
+fn load_config_rejects_a_stale_policy_path() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_stale_policy");
+    // A previous run leaves the named file behind; start from scratch.
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).expect("create fixture root");
+    std::fs::write(root.join("lint.toml"), "[skip]\nno-socket = [\"src/net_io.rs\"]\n")
+        .expect("write lint.toml");
+    let err = devtools::lint::load_config(&root).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains(r#"[skip] no-socket: "src/net_io.rs""#), "{err}");
+    std::fs::write(root.join("src/net_io.rs"), "").expect("create the named file");
+    assert!(devtools::lint::load_config(&root).is_ok());
+}
+
 // ------------------------------------------------------------- call graph
 
 fn cg_sources(names: &[(&str, &str)]) -> Vec<(String, String)> {

@@ -372,7 +372,7 @@ pub struct ShardState {
 /// the cross-traffic replica, plus the channel bank for a contiguous
 /// range of client ids.
 pub struct FleetShard {
-    sim: Sim<ShardState>,
+    pub(crate) sim: Sim<ShardState>,
     state: ShardState,
     /// First global client id owned by this shard.
     lo: usize,
@@ -384,7 +384,7 @@ fn cross_tick(state: &mut ShardState, sim: &mut Sim<ShardState>) {
     let t = sim.now();
     let util = state.cross.decide(t);
     state.bank.set_utilization(util);
-    sim.schedule_fn_in(state.cross.decision_interval(), cross_tick);
+    sim.schedule_in(state.cross.decision_interval(), cross_tick);
 }
 
 impl FleetShard {
@@ -454,7 +454,7 @@ impl FleetNet {
             let cross =
                 CrossTraffic::new(cfg.cross.clone(), cfg.initial_frequency, cross_rng.clone());
             let mut sim = Sim::default();
-            sim.schedule_fn_at(SimTime::ZERO, cross_tick);
+            sim.schedule_at(SimTime::ZERO, cross_tick);
             shards.push(FleetShard { sim, state: ShardState { bank, cross }, lo });
             lo += len;
         }

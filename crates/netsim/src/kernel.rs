@@ -9,72 +9,57 @@
 //! parallelize at the *trial* level (`devtools::par`), never inside one
 //! simulation, which is what keeps every run bit-reproducible.
 //!
-//! ## Hot-path layout
+//! ## Queue layout
 //!
-//! The priority queue is split into two structures so the comparisons the
-//! scheduler performs stay cheap and the event payloads never move:
+//! One [`BinaryHeap`] of events, each a packed `u128` key
+//! `(biased time, 64-bit sequence)` plus its boxed callback, ordered by
+//! the key alone so a comparison is a single wide-integer compare.
 //!
-//! * a queue of 24-byte [`Entry`] records — a packed `u128` key
-//!   `(biased time, 64-bit sequence)` plus the slab slot — ordered by the
-//!   key alone, so a comparison is a single wide-integer compare;
-//! * a slab of event callbacks indexed by slot, with a free list so the
-//!   dominant periodic-poll pattern (pop one event, schedule the next
-//!   tick) recycles the same slot instead of growing the arena.
-//!
-//! Two interchangeable queue backends implement that contract
-//! ([`SchedulerKind`]):
-//!
-//! * [`SchedulerKind::Wheel`] (the default) — a hierarchical timing
-//!   wheel ([`crate::wheel::Wheel`]) with O(1) schedule and amortized
-//!   O(1) pop for the bounded-horizon poll-timer workload that dominates
-//!   fleet simulation, falling back to a far-future overflow heap beyond
-//!   its ~4.9 h horizon;
-//! * [`SchedulerKind::Heap`] — the classic [`BinaryHeap`], kept as the
-//!   reference implementation the wheel is property-tested against.
-//!
-//! Both backends fire any schedule in the identical sequence, so the
-//! choice is a performance knob, never an observable one.
-//!
-//! Callbacks come in two flavors: [`Sim::schedule_fn_at`] takes a plain
-//! `fn` pointer (the periodic ticks that dominate every workload —
-//! zero allocation, direct call), while [`Sim::schedule_at`] accepts any
-//! capturing closure and boxes it.
+//! A heap is all the kernel's traffic needs. It carries only the
+//! testbed's background processes (cross traffic, the monitor pinger
+//! and its controller): a [`crate::testbed::Testbed`] holds at most
+//! three pending events and each [`crate::fleet::FleetShard`] exactly
+//! one. Fleet poll timers never enter the kernel — the fleet runner
+//! drives polls from its epoch barrier — so no workload presents the
+//! deep queue a timing wheel or a callback slab would pay off on.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use clocksim::time::SimTime;
-
-use crate::wheel::Wheel;
+use clocksim::time::{SimDuration, SimTime};
 
 /// An event callback: receives the world and the simulator (so it can
-/// schedule follow-up events). `Plain` is the allocation-free fast path
-/// for capture-less periodic ticks; `Boxed` carries arbitrary closures.
-enum EventFn<W> {
-    Plain(fn(&mut W, &mut Sim<W>)),
-    // `Send` so a whole kernel (with its pending events) can move to a
-    // worker thread — the fleet runner ticks shard kernels in parallel.
-    Boxed(Box<dyn FnOnce(&mut W, &mut Sim<W>) + Send>),
+/// schedule follow-up events). `Send` so a whole kernel, pending events
+/// included, can move to a worker thread — the fleet runner ticks shard
+/// kernels in parallel.
+type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>) + Send>;
+
+/// One queued event. Ordering is by `key` alone (unique among pending
+/// events — the sequence half never collides) and reversed, so the
+/// max-heap [`BinaryHeap`] pops the earliest key first.
+struct Event<W> {
+    key: u128,
+    f: EventFn<W>,
 }
 
-impl<W> EventFn<W> {
-    #[inline]
-    fn call(self, world: &mut W, sim: &mut Sim<W>) {
-        match self {
-            EventFn::Plain(f) => f(world, sim),
-            EventFn::Boxed(f) => f(world, sim),
-        }
+impl<W> PartialEq for Event<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
     }
 }
 
-/// One queued event: an orderable key plus the slab slot holding its
-/// callback. Ordering is by `key` alone (the derive compares `key`
-/// first and `key` is unique among pending events — the sequence half
-/// never collides), the slot just rides along to locate the callback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Entry {
-    pub(crate) key: u128,
-    pub(crate) slot: u32,
+impl<W> Eq for Event<W> {}
+
+impl<W> PartialOrd for Event<W> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<W> Ord for Event<W> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// Pack `(at, seq)` into one orderable integer. The time is sign-flipped
@@ -82,80 +67,21 @@ pub(crate) struct Entry {
 /// the full 64-bit sequence occupies the low half, so same-instant FIFO
 /// order survives any schedule count a simulation can reach.
 #[inline]
-pub(crate) fn pack_key(at: SimTime, seq: u64) -> u128 {
+fn pack_key(at: SimTime, seq: u64) -> u128 {
     let biased = (at.as_nanos() as u64) ^ (1u64 << 63);
     ((biased as u128) << 64) | seq as u128
 }
 
 #[inline]
-pub(crate) fn key_time(key: u128) -> SimTime {
+fn key_time(key: u128) -> SimTime {
     SimTime((((key >> 64) as u64) ^ (1u64 << 63)) as i64)
-}
-
-/// Which priority-queue backend a [`Sim`] runs on. See the module docs;
-/// the two fire identical schedules in the identical order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel with heap overflow (the default).
-    #[default]
-    Wheel,
-    /// Plain binary heap (the reference backend).
-    Heap,
-}
-
-enum Queue {
-    Heap(BinaryHeap<Reverse<Entry>>),
-    Wheel(Box<Wheel>),
-}
-
-impl Queue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => Queue::Heap(BinaryHeap::new()),
-            SchedulerKind::Wheel => Queue::Wheel(Box::new(Wheel::new())),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, e: Entry) {
-        match self {
-            Queue::Heap(h) => h.push(Reverse(e)),
-            Queue::Wheel(w) => w.push(e),
-        }
-    }
-
-    /// Remove and return the minimum entry if its time is `<= t`.
-    #[inline]
-    fn pop_before(&mut self, t: SimTime) -> Option<Entry> {
-        match self {
-            Queue::Heap(h) => {
-                let &Reverse(e) = h.peek()?;
-                if key_time(e.key) > t {
-                    return None;
-                }
-                h.pop().map(|Reverse(e)| e)
-            }
-            Queue::Wheel(w) => w.pop_before(t),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(h) => h.len(),
-            Queue::Wheel(w) => w.len(),
-        }
-    }
 }
 
 /// Discrete-event simulator over world type `W`.
 pub struct Sim<W> {
     now: SimTime,
     seq: u64,
-    queue: Queue,
-    /// Slab of pending callbacks, addressed by the slot carried in each
-    /// queue entry. `None` marks a free slot (tracked in `free`).
-    slots: Vec<Option<EventFn<W>>>,
-    free: Vec<u32>,
+    queue: BinaryHeap<Event<W>>,
     fired: u64,
 }
 
@@ -166,22 +92,9 @@ impl<W> Default for Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// A simulator positioned at the epoch with an empty queue, on the
-    /// default backend ([`SchedulerKind::Wheel`]).
+    /// A simulator positioned at the epoch with an empty queue.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default())
-    }
-
-    /// A simulator on an explicitly chosen queue backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        Sim {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: Queue::new(kind),
-            slots: Vec::new(),
-            free: Vec::new(),
-            fired: 0,
-        }
+        Sim { now: SimTime::ZERO, seq: 0, queue: BinaryHeap::new(), fired: 0 }
     }
 
     /// Current simulation time (the time of the last fired event, or the
@@ -208,9 +121,13 @@ impl<W> Sim<W> {
         self.seq = seq;
     }
 
-    fn push(&mut self, at: SimTime, f: EventFn<W>) {
-        // Clamp to now: scheduling in the past fires at the current time
-        // instead (never travels backwards).
+    /// Schedule `f` at absolute time `at`. Scheduling in the past fires the
+    /// event at the current time instead (never travels backwards).
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
+    ) {
         let at = at.max(self.now);
         // Sequence numbers order same-instant events. 64 bits cannot
         // wrap in any physically runnable simulation (5 billion events
@@ -218,72 +135,32 @@ impl<W> Sim<W> {
         // ties holds unconditionally.
         let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                // lint:allow(no-slice-index) — `s` came off the free list, which only ever holds indices of existing slots
-                self.slots[s as usize] = Some(f);
-                s
-            }
-            None => {
-                self.slots.push(Some(f));
-                let idx = self.slots.len() - 1;
-                let Ok(slot) = u32::try_from(idx) else {
-                    // Cold path: >4 billion *live* events means the
-                    // workload leaked its schedule; refuse loudly
-                    // rather than alias slot indices.
-                    // lint:allow(no-panic) — explicit capacity check on a cold path; aliasing slot 0 silently would corrupt the schedule
-                    panic!("event slab overflowed the u32 slot index ({idx} live events)");
-                };
-                slot
-            }
-        };
-        self.queue.push(Entry { key: pack_key(at, seq), slot });
-    }
-
-    #[inline]
-    fn take_slot(&mut self, e: Entry) -> (SimTime, EventFn<W>) {
-        // lint:allow(no-slice-index) — the slot index was packed into the entry by `push`, which stored into that slot
-        // lint:allow(no-unwrap) — push/pop pairing: every queued entry's slot holds its callback until this take()
-        let f = self.slots[e.slot as usize].take().expect("queued slot holds a callback");
-        self.free.push(e.slot);
-        (key_time(e.key), f)
-    }
-
-    /// Schedule `f` at absolute time `at`. Scheduling in the past fires the
-    /// event at the current time instead (never travels backwards).
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static) {
-        self.push(at, EventFn::Boxed(Box::new(f)));
+        self.queue.push(Event { key: pack_key(at, seq), f: Box::new(f) });
     }
 
     /// Schedule `f` after a relative delay.
     pub fn schedule_in(
         &mut self,
-        delay: clocksim::time::SimDuration,
+        delay: SimDuration,
         f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
     ) {
         self.schedule_at(self.now + delay.max_zero(), f);
     }
 
-    /// Schedule a plain function pointer at absolute time `at` — the
-    /// allocation-free fast path for capture-less events (periodic polls,
-    /// cross-traffic ticks).
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut W, &mut Sim<W>)) {
-        self.push(at, EventFn::Plain(f));
-    }
-
-    /// Schedule a plain function pointer after a relative delay.
-    pub fn schedule_fn_in(&mut self, delay: clocksim::time::SimDuration, f: fn(&mut W, &mut Sim<W>)) {
-        self.schedule_fn_at(self.now + delay.max_zero(), f);
+    /// Remove and return the earliest event if its time is `<= t`.
+    #[inline]
+    fn pop_through(&mut self, t: SimTime) -> Option<Event<W>> {
+        if key_time(self.queue.peek()?.key) > t {
+            return None;
+        }
+        self.queue.pop()
     }
 
     /// Fire every event with `at <= t`, then advance the clock to exactly
     /// `t`. Events may schedule new events, including at the current time.
     pub fn run_until(&mut self, world: &mut W, t: SimTime) {
-        while let Some(e) = self.queue.pop_before(t) {
-            let (at, f) = self.take_slot(e);
-            self.now = at;
-            self.fired += 1;
-            f.call(world, self);
+        while let Some(e) = self.pop_through(t) {
+            self.fire(world, e);
         }
         if t > self.now {
             self.now = t;
@@ -292,19 +169,24 @@ impl<W> Sim<W> {
 
     /// Fire events until the queue drains (for self-terminating workloads).
     pub fn run_to_completion(&mut self, world: &mut W) {
-        while let Some(e) = self.queue.pop_before(SimTime(i64::MAX)) {
-            let (at, f) = self.take_slot(e);
-            self.now = at;
-            self.fired += 1;
-            f.call(world, self);
+        while let Some(e) = self.queue.pop() {
+            self.fire(world, e);
         }
+    }
+
+    #[inline]
+    fn fire(&mut self, world: &mut W, e: Event<W>) {
+        self.now = key_time(e.key);
+        self.fired += 1;
+        (e.f)(world, self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clocksim::time::SimDuration;
+    use crate::fleet::{FleetConfig, FleetNet};
+    use crate::testbed::{Testbed, TestbedConfig};
 
     #[test]
     fn events_fire_in_time_order() {
@@ -321,16 +203,14 @@ mod tests {
 
     #[test]
     fn ties_fire_in_scheduling_order() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<Vec<u32>> = Sim::with_scheduler(kind);
-            let mut world = Vec::new();
-            let t = SimTime::from_secs(1);
-            for i in 0..10 {
-                sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            sim.run_until(&mut world, t);
-            assert_eq!(world, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut world = Vec::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..10 {
+            sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
         }
+        sim.run_until(&mut world, t);
+        assert_eq!(world, (0..10).collect::<Vec<_>>());
     }
 
     /// Regression test for the tie-breaker wrap bug: the old kernel kept
@@ -342,21 +222,19 @@ mod tests {
     /// keeps 0, 1, 2, 3.
     #[test]
     fn same_instant_fifo_survives_u32_seq_boundary() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<Vec<u32>> = Sim::with_scheduler(kind);
-            sim.set_seq_for_test(u64::from(u32::MAX) - 1);
-            let mut world = Vec::new();
-            let t = SimTime::from_secs(7);
-            for i in 0..4 {
-                sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            sim.run_until(&mut world, t);
-            assert_eq!(
-                world,
-                vec![0, 1, 2, 3],
-                "same-instant FIFO order must survive the u32 sequence boundary ({kind:?})"
-            );
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        sim.set_seq_for_test(u64::from(u32::MAX) - 1);
+        let mut world = Vec::new();
+        let t = SimTime::from_secs(7);
+        for i in 0..4 {
+            sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
         }
+        sim.run_until(&mut world, t);
+        assert_eq!(
+            world,
+            vec![0, 1, 2, 3],
+            "same-instant FIFO order must survive the u32 sequence boundary"
+        );
     }
 
     #[test]
@@ -415,54 +293,14 @@ mod tests {
 
     #[test]
     fn run_to_completion_drains() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<u32> = Sim::with_scheduler(kind);
-            let mut world = 0u32;
-            for i in 0..100 {
-                sim.schedule_at(SimTime::from_secs(i), |w: &mut u32, _| *w += 1);
-            }
-            sim.run_to_completion(&mut world);
-            assert_eq!(world, 100);
-            assert_eq!(sim.pending(), 0);
+        let mut sim: Sim<u32> = Sim::new();
+        let mut world = 0u32;
+        for i in 0..100 {
+            sim.schedule_at(SimTime::from_secs(i), |w: &mut u32, _| *w += 1);
         }
-    }
-
-    #[test]
-    fn slab_slots_are_recycled_by_periodic_pattern() {
-        // The dominant workload: one event fires, schedules its successor.
-        // The slab must stay at one live slot instead of growing.
-        struct W {
-            count: u32,
-        }
-        fn tick(w: &mut W, sim: &mut Sim<W>) {
-            w.count += 1;
-            if w.count < 10_000 {
-                sim.schedule_fn_in(SimDuration::from_millis(1), tick);
-            }
-        }
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim = Sim::with_scheduler(kind);
-            let mut world = W { count: 0 };
-            sim.schedule_fn_at(SimTime::ZERO, tick);
-            sim.run_to_completion(&mut world);
-            assert_eq!(world.count, 10_000);
-            assert_eq!(sim.slots.len(), 1, "periodic reschedule must reuse one slot ({kind:?})");
-        }
-    }
-
-    #[test]
-    fn fn_and_boxed_events_interleave_in_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut world = Vec::new();
-        fn plain(w: &mut Vec<u32>, _: &mut Sim<Vec<u32>>) {
-            w.push(1);
-        }
-        sim.schedule_fn_at(SimTime::from_secs(1), plain);
-        let x = 2u32;
-        sim.schedule_at(SimTime::from_secs(1), move |w: &mut Vec<u32>, _| w.push(x));
-        sim.schedule_fn_at(SimTime::from_secs(1), plain);
-        sim.run_until(&mut world, SimTime::from_secs(1));
-        assert_eq!(world, vec![1, 2, 1]);
+        sim.run_to_completion(&mut world);
+        assert_eq!(world, 100);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -489,9 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_wheel_horizon() {
-        // Events beyond the wheel's ~4.9 h horizon live in the overflow
-        // heap and must still fire in order after migration.
+    fn hours_apart_events_fire_in_time_order() {
         let mut sim: Sim<Vec<u32>> = Sim::new();
         let mut world = Vec::new();
         for (i, secs) in [36_000i64, 1, 72_000, 2, 18_000].iter().enumerate() {
@@ -503,6 +339,29 @@ mod tests {
         assert_eq!(world, vec![1, 3, 4, 0, 2]);
         assert_eq!(sim.now(), SimTime::from_secs(72_000));
     }
+
+    /// Pins the traffic the single-heap design rests on (module docs):
+    /// a fleet shard kernel only ever holds its cross-traffic tick, and
+    /// a wireless testbed with the monitor enabled holds at most its
+    /// cross-traffic, ping and controller ticks.
+    #[test]
+    fn testbed_and_fleet_kernels_stay_shallow() {
+        let cfg = FleetConfig { clients: 64, shards: 4, ..FleetConfig::default() };
+        let mut fleet = FleetNet::new(&cfg, 11);
+        let mut tb = Testbed::wireless(TestbedConfig::default(), 11);
+        for secs in (0..=240).step_by(7) {
+            let t = SimTime::from_secs(secs);
+            fleet.advance_to(t);
+            tb.advance_to(t);
+            let (shards, _) = fleet.parts();
+            assert_eq!(shards.len(), 4);
+            for shard in shards.iter() {
+                assert_eq!(shard.sim.pending(), 1, "fleet shard at {secs} s");
+            }
+            assert!(tb.sim.pending() <= 3, "testbed holds {} at {secs} s", tb.sim.pending());
+        }
+        assert!(tb.sim.events_fired() > 100, "the monitor processes must actually run");
+    }
 }
 
 #[cfg(test)]
@@ -513,23 +372,21 @@ mod proptests {
 
     props! {
         /// For any schedule of events, firing order is sorted by
-        /// (time, insertion order) — on both queue backends.
+        /// (time, insertion order).
         fn firing_order_is_stable_sort(times in prop::vecs(prop::ints(0..1000), 1..60)) {
-            for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-                let mut sim: Sim<Vec<(i64, usize)>> = Sim::with_scheduler(kind);
-                let mut world: Vec<(i64, usize)> = Vec::new();
-                for (idx, &t) in times.iter().enumerate() {
-                    sim.schedule_at(SimTime::from_secs(t), move |w: &mut Vec<(i64, usize)>, _| {
-                        w.push((t, idx));
-                    });
-                }
-                sim.run_to_completion(&mut world);
-                prop_assert_eq!(world.len(), times.len());
-                for pair in world.windows(2) {
-                    let (ta, ia) = pair[0];
-                    let (tb, ib) = pair[1];
-                    prop_assert!(ta < tb || (ta == tb && ia < ib), "{pair:?}");
-                }
+            let mut sim: Sim<Vec<(i64, usize)>> = Sim::new();
+            let mut world: Vec<(i64, usize)> = Vec::new();
+            for (idx, &t) in times.iter().enumerate() {
+                sim.schedule_at(SimTime::from_secs(t), move |w: &mut Vec<(i64, usize)>, _| {
+                    w.push((t, idx));
+                });
+            }
+            sim.run_to_completion(&mut world);
+            prop_assert_eq!(world.len(), times.len());
+            for pair in world.windows(2) {
+                let (ta, ia) = pair[0];
+                let (tb, ib) = pair[1];
+                prop_assert!(ta < tb || (ta == tb && ia < ib), "{pair:?}");
             }
         }
     }

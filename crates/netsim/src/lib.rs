@@ -55,13 +55,12 @@ pub mod link;
 pub mod pcap;
 pub mod scenarios;
 pub mod testbed;
-mod wheel;
 pub mod wifi;
 
 pub use chaos::{ChaosEvent, ClientChaosLatch, ClientRange, FleetFaultPlan, ServerChaosLatch};
 pub use faults::{FaultInjector, FaultKind, FaultSchedule, FaultWindow, PacketFate, ServerSet};
 pub use fleet::{FleetConfig, FleetNet, ServerModel, ServerModelConfig, ServiceDecision};
-pub use kernel::{SchedulerKind, Sim};
+pub use kernel::Sim;
 pub use lanes::{ChannelBank, Lane};
 pub use link::{DelayModel, Link, LossModel};
 pub use testbed::{LastHop, Testbed, TestbedConfig};

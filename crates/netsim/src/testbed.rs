@@ -212,7 +212,7 @@ impl TestbedState {
 /// let _delay = tb.last_hop_up(SimTime::from_secs(10));
 /// ```
 pub struct Testbed {
-    sim: Sim<TestbedState>,
+    pub(crate) sim: Sim<TestbedState>,
     /// The world. Public so experiments can reach the channel directly
     /// (e.g. to read telemetry); protocol code should stick to the
     /// high-level methods.
@@ -282,24 +282,23 @@ impl Testbed {
                 .as_ref()
                 .map(|c| c.decision_interval())
                 .unwrap_or(SimDuration::from_secs(2));
-            sim.schedule_fn_in(interval, cross_tick);
+            sim.schedule_in(interval, cross_tick);
         }
-        self.sim.schedule_fn_at(SimTime::ZERO, cross_tick);
+        self.sim.schedule_at(SimTime::ZERO, cross_tick);
 
         if monitor_enabled {
             fn ping_tick(w: &mut TestbedState, sim: &mut Sim<TestbedState>) {
                 w.ping_once(sim.now());
                 let d = SimDuration::from_secs_f64(w.monitor_cfg.ping_interval_secs);
-                sim.schedule_fn_in(d, ping_tick);
+                sim.schedule_in(d, ping_tick);
             }
             fn control_tick(w: &mut TestbedState, sim: &mut Sim<TestbedState>) {
                 w.control_step(sim.now());
                 let d = SimDuration::from_secs_f64(w.monitor_cfg.control_interval_secs);
-                sim.schedule_fn_in(d, control_tick);
+                sim.schedule_in(d, control_tick);
             }
-            self.sim.schedule_fn_at(SimTime::ZERO, ping_tick);
-            self.sim
-                .schedule_fn_at(SimTime::from_secs(5), control_tick);
+            self.sim.schedule_at(SimTime::ZERO, ping_tick);
+            self.sim.schedule_at(SimTime::from_secs(5), control_tick);
         }
     }
 

@@ -21,6 +21,14 @@ fn workspace_lints_clean() {
 }
 
 #[test]
+fn committed_policy_names_only_real_paths() {
+    let text = std::fs::read_to_string(repo_root().join("lint.toml")).expect("read lint.toml");
+    let cfg = lint::config::parse(&text).expect("lint.toml parses");
+    let stale = cfg.stale_paths(repo_root());
+    assert!(stale.is_empty(), "lint.toml names paths that do not exist:\n{}", stale.join("\n"));
+}
+
+#[test]
 fn bad_fixtures_fail_every_lint_class() {
     let cfg = {
         let mut c = lint::Config::fallback();
