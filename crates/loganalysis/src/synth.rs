@@ -9,8 +9,9 @@
 //! analysis heuristics can be *validated*, which the paper could not do
 //! with production traces.
 //!
-//! Two generators share one client model ([`draw_client_spec`] /
-//! [`emit_record`] are the common core):
+//! Two generators share one client model and one count model
+//! ([`draw_client_spec`], [`emit_record`] and [`scaled_counts`] are the
+//! common core):
 //!
 //! - [`generate_server_log`] — the original batch generator: materialize
 //!   the whole (scaled) day, sort it, return a [`ServerLog`]. Pinned
@@ -28,11 +29,14 @@
 //!   time the client shows up, in any chunk. (The batch generator skews
 //!   per-client volume Zipf-style; the streaming generator's volume is
 //!   uniform per client — a documented modelling difference, not a bug.)
+//!   Every record of a chunk is written into one reused in-flight
+//!   [`LogRecord`] that the sink borrows for its call only, so the
+//!   stream allocates nothing per record.
 
 use clocksim::rng::SimRng;
 use ntp_wire::{packet::Mode, sntp_profile, NtpDuration, NtpPacket, NtpTimestamp, Version};
 
-use crate::model::{ProviderCategory, ServerProfile, PROVIDERS};
+use crate::model::{ProviderCategory, ProviderProfile, ServerProfile, PROVIDERS};
 
 /// Generation parameters.
 #[derive(Clone, Debug)]
@@ -86,10 +90,11 @@ pub struct ServerLog {
     pub unique_clients: u64,
 }
 
+/// One client's draws: everything the request model needs except the
+/// hostname, which [`draw_client_spec`] writes into a caller-owned buffer.
 struct ClientSpec {
     provider: usize,
     ipv6: bool,
-    hostname: String,
     sntp: bool,
     /// Minimum (propagation) OWD, ms.
     min_owd_ms: f64,
@@ -118,6 +123,18 @@ fn draw_min_owd(cat: ProviderCategory, rng: &mut SimRng) -> f64 {
     }
 }
 
+/// Sum of `client_weight` over `providers`, added first to last — the
+/// order of `iter().sum()`, so the total is bit-identical to it.
+const fn weight_total(providers: &[ProviderProfile]) -> f64 {
+    match providers {
+        [] => 0.0,
+        [rest @ .., last] => weight_total(rest) + last.client_weight,
+    }
+}
+
+/// Total client weight of [`PROVIDERS`], summed once at compile time.
+const PROVIDER_WEIGHT_TOTAL: f64 = weight_total(&PROVIDERS);
+
 fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
     if isp_internal {
         // ISP-internal servers see mostly the ISP's own wired
@@ -128,8 +145,7 @@ fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
             rng.int_range(0, 2) as usize
         }
     } else {
-        let total: f64 = PROVIDERS.iter().map(|p| p.client_weight).sum();
-        let mut x = rng.uniform() * total;
+        let mut x = rng.uniform() * PROVIDER_WEIGHT_TOTAL;
         for (i, p) in PROVIDERS.iter().enumerate() {
             x -= p.client_weight;
             if x <= 0.0 {
@@ -140,33 +156,62 @@ fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
     }
 }
 
-fn hostname(provider: usize, client: u32, rng: &mut SimRng) -> String {
-    use std::fmt::Write as _;
+/// Append `n` in decimal, without going through `fmt`.
+fn push_decimal(out: &mut String, n: u64) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// Append a provider name with its spaces removed, lowercased: the bytes
+/// of `name.replace(' ', "").to_lowercase()`. ASCII names (all of
+/// [`PROVIDERS`]) are lowercased byte-wise; any other name takes the
+/// allocating Unicode path.
+fn push_label(out: &mut String, name: &str) {
+    if name.is_ascii() {
+        out.extend(name.bytes().filter(|&b| b != b' ').map(|b| char::from(b.to_ascii_lowercase())));
+    } else {
+        out.push_str(&name.replace(' ', "").to_lowercase());
+    }
+}
+
+/// Write client `client`'s reverse-DNS name into `out`, replacing its
+/// contents: the bytes of `format!("{a}-{b}-{}.{k}.", client % 251)`,
+/// the provider label and `.example.net`. Allocation-free once `out`
+/// has grown to a hostname's length.
+fn write_hostname(provider: usize, client: u32, rng: &mut SimRng, out: &mut String) {
+    out.clear();
     let Some(p) = PROVIDERS.get(provider) else {
-        return String::new(); // unreachable: provider comes from pick_provider
+        return; // unreachable: provider comes from pick_provider
     };
     let kw = p.category.hostname_keywords();
     let k = kw.get(rng.index(kw.len())).copied().unwrap_or("net");
-    // Single-allocation build (the streaming generator calls this per
-    // *record*): same draws in the same order, same bytes out as the
-    // original `format!` with `p.name.replace(' ', "").to_lowercase()`.
-    let a = rng.int_range(1, 254);
-    let b = rng.int_range(1, 254);
-    let mut s = String::with_capacity(26 + k.len() + p.name.len());
-    let _ = write!(s, "{a}-{b}-{}.{k}.", client % 251);
-    for ch in p.name.chars() {
-        if ch != ' ' {
-            s.extend(ch.to_lowercase());
-        }
-    }
-    s.push_str(".example.net");
-    s
+    // Both draws lie in [1, 254], so the casts are exact.
+    let a = rng.int_range(1, 254) as u64;
+    let b = rng.int_range(1, 254) as u64;
+    push_decimal(out, a);
+    out.push('-');
+    push_decimal(out, b);
+    out.push('-');
+    push_decimal(out, u64::from(client % 251));
+    out.push('.');
+    out.push_str(k);
+    out.push('.');
+    push_label(out, p.name);
+    out.push_str(".example.net");
 }
 
-/// Draw one client's spec — the shared client model of both generators.
-/// The draw order here is the batch generator's original order and is
-/// load-bearing: reordering it changes every committed artifact.
-fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientSpec {
+/// Draw one client's spec — the shared client model of both generators —
+/// writing its hostname into `hostname`. The draw order here is the batch
+/// generator's original order and is load-bearing: reordering it changes
+/// every committed artifact.
+fn draw_client_spec(
+    rng: &mut SimRng,
+    server: &ServerProfile,
+    c: u32,
+    hostname: &mut String,
+) -> ClientSpec {
     let provider = pick_provider(rng, server.isp_internal);
     let cat = PROVIDERS.get(provider).map(|p| p.category).unwrap_or(ProviderCategory::Isp);
     // ISP-internal servers (CI*/EN*) serve the ISP's own
@@ -195,10 +240,13 @@ fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientS
             ProviderCategory::Broadband => 0.15,
             ProviderCategory::Mobile => 0.25,
         });
+    write_hostname(provider, c, rng, hostname);
+    // Disciplined clients hold their rate near true; free-running ones
+    // drift at crystal tolerance.
+    let skew_ppm = if synchronized { rng.normal(0.0, 0.1) } else { rng.normal(0.0, 15.0) };
     ClientSpec {
         provider,
         ipv6,
-        hostname: hostname(provider, c, rng),
         sntp,
         min_owd_ms,
         jitter_mean_ms: match cat {
@@ -207,19 +255,35 @@ fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientS
             _ => 6.0,
         },
         clock_err_ms,
-        // Disciplined clients hold their rate near true; free-running
-        // ones drift at crystal tolerance.
-        skew_ppm: if synchronized { rng.normal(0.0, 0.1) } else { rng.normal(0.0, 15.0) },
+        skew_ppm,
         requests: 1, // at least one; remainder distributed below
         synchronized,
     }
 }
 
-/// Build one record for client `c` — the shared request model of both
-/// generators. `t_send` and `owd_ms` are drawn by the caller (the two
-/// generators parameterize time differently); the packet-shaping draws
-/// (`poll`, reference age) happen here, after them, in the batch
-/// generator's original order.
+/// A record with every field but `hostname` zeroed, for [`emit_record`]
+/// to fill.
+fn empty_record(hostname: String) -> LogRecord {
+    LogRecord {
+        client_id: 0,
+        hostname,
+        request: Vec::new(),
+        received_at_secs: 0.0,
+        true_provider: 0,
+        true_ipv6: false,
+        true_sntp: false,
+        true_owd_ms: 0.0,
+        true_clock_err_ms: 0.0,
+    }
+}
+
+/// Fill `out` with one request from client `c` — the shared request model
+/// of both generators. Every field but `hostname` (the caller's, written
+/// by [`draw_client_spec`]) is overwritten; nothing is allocated once
+/// `out.request` holds a packet's capacity. `t_send` and `owd_ms` are
+/// drawn by the caller (the two generators parameterize time
+/// differently); the packet-shaping draws (`poll`, reference age) happen
+/// here, after them, in the batch generator's original order.
 fn emit_record(
     rng: &mut SimRng,
     c: &ClientSpec,
@@ -227,7 +291,8 @@ fn emit_record(
     t_send: f64,
     owd_ms: f64,
     received_at_secs: f64,
-) -> LogRecord {
+    out: &mut LogRecord,
+) {
     let clock_err = c.clock_err_ms + c.skew_ppm * 1e-3 * t_send; // ppm·s → ms
     // T1 on the client's clock.
     let t1 = ts_at(t_send).wrapping_add_duration(NtpDuration::from_seconds_f64(clock_err / 1e3));
@@ -256,36 +321,44 @@ fn emit_record(
         p.root_dispersion = ntp_wire::NtpShort::from_millis(15);
         p
     };
-    LogRecord {
-        client_id: ci,
-        hostname: c.hostname.clone(),
-        request: packet.serialize(),
-        received_at_secs,
-        true_provider: c.provider,
-        true_ipv6: c.ipv6,
-        true_sntp: c.sntp,
-        true_owd_ms: owd_ms,
-        true_clock_err_ms: clock_err,
-    }
+    out.client_id = ci;
+    out.request.clear();
+    out.request.extend_from_slice(&packet.to_bytes());
+    out.received_at_secs = received_at_secs;
+    out.true_provider = c.provider;
+    out.true_ipv6 = c.ipv6;
+    out.true_sntp = c.sntp;
+    out.true_owd_ms = owd_ms;
+    out.true_clock_err_ms = clock_err;
+}
+
+/// The Table 1 count model both generators share: `(clients, records)`
+/// for one server under a scale divisor. Scale `0` counts as `1`.
+fn scaled_counts(server: &ServerProfile, scale: u64) -> (u32, u64) {
+    let scale = scale.max(1);
+    let n_clients = (server.unique_clients / scale).max(5) as u32;
+    let total = (server.total_measurements / scale).max(u64::from(n_clients));
+    (n_clients, total)
 }
 
 /// Generate one server's synthetic log.
 pub fn generate_server_log(server: &ServerProfile, cfg: &SynthConfig, seed: u64) -> ServerLog {
     let mut rng = SimRng::new(seed ^ 0x5EED_1065);
-    let n_clients = (server.unique_clients / cfg.scale).max(5) as u32;
-    let total_requests = (server.total_measurements / cfg.scale).max(n_clients as u64);
+    let (n_clients, total_requests) = scaled_counts(server, cfg.scale);
 
-    // Build the client population.
+    // Build the client population, each with its own hostname.
     let mut clients = Vec::with_capacity(n_clients as usize);
     for c in 0..n_clients {
-        clients.push(draw_client_spec(&mut rng, server, c));
+        let mut hostname = String::new();
+        let spec = draw_client_spec(&mut rng, server, c, &mut hostname);
+        clients.push((spec, hostname));
     }
     // Distribute the remaining request budget: NTP clients poll
     // periodically and soak up most of the volume (a Zipf-ish skew).
     let mut remaining = total_requests.saturating_sub(n_clients as u64);
     while remaining > 0 {
         let i = rng.index(clients.len());
-        let Some(cl) = clients.get_mut(i) else { break };
+        let Some((cl, _)) = clients.get_mut(i) else { break };
         let boost = if cl.sntp {
             1
         } else {
@@ -298,11 +371,13 @@ pub fn generate_server_log(server: &ServerProfile, cfg: &SynthConfig, seed: u64)
 
     // Emit records.
     let mut records = Vec::with_capacity(total_requests as usize);
-    for (ci, c) in clients.iter().enumerate() {
+    for (ci, (c, hostname)) in clients.iter().enumerate() {
         for _ in 0..c.requests {
             let t_send = rng.uniform_range(0.0, cfg.duration_secs as f64);
             let owd_ms = c.min_owd_ms + rng.exponential(c.jitter_mean_ms);
-            records.push(emit_record(&mut rng, c, ci as u32, t_send, owd_ms, t_send + owd_ms / 1e3));
+            let mut record = empty_record(hostname.clone());
+            emit_record(&mut rng, c, ci as u32, t_send, owd_ms, t_send + owd_ms / 1e3, &mut record);
+            records.push(record);
         }
     }
     records.sort_by(|a, b| a.received_at_secs.total_cmp(&b.received_at_secs));
@@ -356,9 +431,7 @@ pub struct ChunkPlan {
 /// [`generate_server_log`], split into `ceil(total / chunk_records)`
 /// time-window chunks.
 pub fn chunk_plan(server: &ServerProfile, cfg: &StreamSynthConfig) -> ChunkPlan {
-    let scale = cfg.scale.max(1);
-    let n_clients = (server.unique_clients / scale).max(5) as u32;
-    let total_records = (server.total_measurements / scale).max(n_clients as u64);
+    let (n_clients, total_records) = scaled_counts(server, cfg.scale);
     let chunks = total_records.div_ceil(cfg.chunk_records.max(1)).max(1);
     ChunkPlan { total_records, n_clients, chunks }
 }
@@ -397,6 +470,11 @@ const KEY_CLIENT: u64 = 0xC2;
 /// (concatenating chunks in index order is already globally sorted,
 /// because chunk `c` owns the day's `c`-th time window).
 ///
+/// That one record is reused for every arrival: the sink borrows it for
+/// the duration of its call only (clone it to keep it), and each record's
+/// hostname and request bytes are written over the previous ones in
+/// place, so generation allocates nothing per record.
+///
 /// The chunk is a pure function of `(seed, server, chunk)` under a fixed
 /// config: any subset of chunks can be generated in any order, on any
 /// worker, and byte-identical records come out.
@@ -418,16 +496,20 @@ pub fn stream_chunk(
     let mut rng = SimRng::new(stream_key(seed, server_index, KEY_CHUNK, chunk));
     // Pass 1: the chunk's arrival times, sorted locally.
     let mut arrivals: Vec<f64> = (0..len).map(|_| rng.uniform_range(t0, t0 + window)).collect();
-    arrivals.sort_by(f64::total_cmp);
-    // Pass 2: one record per arrival. Client identity is a uniform draw;
-    // the client's spec is re-derived from its pure per-client stream so
-    // it is identical in every chunk it appears in.
+    // Equal `total_cmp` keys are bit-equal, so an unstable sort yields
+    // the same sequence as a stable one.
+    arrivals.sort_unstable_by(f64::total_cmp);
+    // Pass 2: one record per arrival, all written into one in-flight
+    // record. Client identity is a uniform draw; the client's spec is
+    // re-derived from its pure per-client stream so it is identical in
+    // every chunk it appears in.
+    let mut record = empty_record(String::new());
     for &t_arrive in &arrivals {
         let ci = rng.below(plan.n_clients as u64) as u32;
         let mut client_rng = SimRng::new(stream_key(seed, server_index, KEY_CLIENT, ci as u64));
-        let spec = draw_client_spec(&mut client_rng, server, ci);
+        let spec = draw_client_spec(&mut client_rng, server, ci, &mut record.hostname);
         let owd_ms = spec.min_owd_ms + rng.exponential(spec.jitter_mean_ms);
-        let record = emit_record(&mut rng, &spec, ci, t_arrive - owd_ms / 1e3, owd_ms, t_arrive);
+        emit_record(&mut rng, &spec, ci, t_arrive - owd_ms / 1e3, owd_ms, t_arrive, &mut record);
         sink(&record);
     }
 }
@@ -635,6 +717,172 @@ mod tests {
             assert_eq!(p.mode, Mode::Client);
             assert_eq!(p.is_sntp_client_shape(), r.true_sntp);
             assert!(r.true_owd_ms > 0.0);
+        }
+    }
+
+    // ---- raw-output pins ----
+
+    /// FNV-1a over every field of a record stream, ground truth included.
+    struct Digest(u64);
+
+    impl Digest {
+        fn new() -> Self {
+            Digest(0xCBF2_9CE4_8422_2325)
+        }
+
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+
+        fn record(&mut self, r: &LogRecord) {
+            self.bytes(&r.client_id.to_le_bytes());
+            self.bytes(&(r.hostname.len() as u64).to_le_bytes());
+            self.bytes(r.hostname.as_bytes());
+            self.bytes(&(r.request.len() as u64).to_le_bytes());
+            self.bytes(&r.request);
+            self.bytes(&r.received_at_secs.to_bits().to_le_bytes());
+            self.bytes(&(r.true_provider as u64).to_le_bytes());
+            self.bytes(&[u8::from(r.true_ipv6), u8::from(r.true_sntp)]);
+            self.bytes(&r.true_owd_ms.to_bits().to_le_bytes());
+            self.bytes(&r.true_clock_err_ms.to_bits().to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn stream_chunk_output_is_pinned() {
+        // (server index, chunk, records, digest). AG1 is a v4 public
+        // server, CI1 ISP-internal and dual-stack, MW2 mobile-heavy, SU1
+        // dual-stack public. Constants captured from the generator before
+        // its allocation-free rewrite.
+        const PINS: [(usize, u64, usize, u64); 5] = [
+            (0, 0, 588, 0xB150_887C_A513_FEF2),
+            (0, 17, 588, 0xFDE5_123D_4E49_290B),
+            (1, 2, 592, 0x4E42_5060_17A5_8C3A),
+            (10, 1, 597, 0x3D3E_3469_24BA_5423),
+            (14, 3, 597, 0x8286_3B59_4113_1CFE),
+        ];
+        let cfg = stream_cfg(500, 600);
+        let (mut v6, mut sntp, mut ntp) = (0, 0, 0);
+        let got: Vec<(usize, u64, usize, u64)> = PINS
+            .iter()
+            .map(|&(si, chunk, _, _)| {
+                let mut d = Digest::new();
+                let mut n = 0;
+                stream_chunk(&SERVERS[si], si, &cfg, 2016, chunk, &mut |r| {
+                    d.record(r);
+                    n += 1;
+                    v6 += usize::from(r.true_ipv6);
+                    sntp += usize::from(r.true_sntp);
+                    ntp += usize::from(!r.true_sntp);
+                });
+                (si, chunk, n, d.0)
+            })
+            .collect();
+        assert_eq!(got, PINS);
+        assert!(v6 > 0 && sntp > 0 && ntp > 0, "pins must cover v6 {v6}, sntp {sntp}, ntp {ntp}");
+    }
+
+    #[test]
+    fn generate_server_log_output_is_pinned() {
+        // (server index, scale, seed, records, digest).
+        const PINS: [(usize, u64, u64, usize, u64); 2] = [
+            (0, 10_000, 7, 998, 0x9950_3BEB_C39B_288F),
+            (1, 1_000, 8, 1_480, 0x44E3_68F8_21AA_0C09),
+        ];
+        let got: Vec<(usize, u64, u64, usize, u64)> = PINS
+            .iter()
+            .map(|&(si, scale, seed, _, _)| {
+                let cfg = SynthConfig { scale, duration_secs: 86_400 };
+                let log = generate_server_log(&SERVERS[si], &cfg, seed);
+                let mut d = Digest::new();
+                log.records.iter().for_each(|r| d.record(r));
+                (si, scale, seed, log.records.len(), d.0)
+            })
+            .collect();
+        assert_eq!(got, PINS);
+    }
+
+    /// The hostname builder as it was first written, through `fmt` and
+    /// `str::to_lowercase`: the byte-for-byte oracle for [`write_hostname`].
+    fn hostname_oracle(provider: usize, client: u32, rng: &mut SimRng) -> String {
+        let p = &PROVIDERS[provider];
+        let kw = p.category.hostname_keywords();
+        let k = kw[rng.index(kw.len())];
+        let a = rng.int_range(1, 254);
+        let b = rng.int_range(1, 254);
+        format!("{a}-{b}-{}.{k}.", client % 251)
+            + &p.name.replace(' ', "").to_lowercase()
+            + ".example.net"
+    }
+
+    #[test]
+    fn hostname_matches_the_format_oracle() {
+        for seed in 0..64u64 {
+            for provider in 0..PROVIDERS.len() {
+                for client in [0, 250, 251, u32::MAX] {
+                    let mut want_rng = SimRng::new(seed);
+                    let want = hostname_oracle(provider, client, &mut want_rng);
+                    let mut rng = SimRng::new(seed);
+                    let mut got = String::from("stale contents");
+                    write_hostname(provider, client, &mut rng, &mut got);
+                    assert_eq!(got, want, "seed {seed} provider {provider} client {client}");
+                    assert_eq!(rng.next_u64(), want_rng.next_u64(), "draws diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn label_and_digit_builders_match_std() {
+        // Every provider name takes the byte-wise path…
+        assert!(PROVIDERS.iter().all(|p| p.name.is_ascii()));
+        // …and the Unicode fallback still matches `to_lowercase`.
+        for name in ["SP 1", "Ünïcode Télécom", "ΣΙΓΜΑ NET", "MIXED Case 9"] {
+            let mut got = String::new();
+            push_label(&mut got, name);
+            assert_eq!(got, name.replace(' ', "").to_lowercase(), "{name}");
+        }
+        for n in (0..2_000u64).chain([u64::from(u32::MAX), u64::MAX - 1, u64::MAX]) {
+            let mut got = String::new();
+            push_decimal(&mut got, n);
+            assert_eq!(got, n.to_string());
+        }
+    }
+
+    #[test]
+    fn weight_total_is_the_iterator_sum() {
+        let sum: f64 = PROVIDERS.iter().map(|p| p.client_weight).sum();
+        assert_eq!(PROVIDER_WEIGHT_TOTAL.to_bits(), sum.to_bits());
+    }
+
+    #[test]
+    fn scale_zero_counts_as_scale_one() {
+        for s in &SERVERS {
+            assert_eq!(scaled_counts(s, 0), scaled_counts(s, 1), "{}", s.id);
+        }
+        // MW1 is Table 1's smallest day (197,900 requests).
+        let mw1 = SERVERS.iter().position(|s| s.id == "MW1").unwrap();
+        let digest = |scale| {
+            let cfg = SynthConfig { scale, duration_secs: 86_400 };
+            let log = generate_server_log(&SERVERS[mw1], &cfg, 3);
+            let mut d = Digest::new();
+            log.records.iter().for_each(|r| d.record(r));
+            (log.unique_clients, log.records.len(), d.0)
+        };
+        let one = digest(1);
+        assert_eq!(one.1, 197_900);
+        assert_eq!(digest(0), one);
+        let (zero, one) = (stream_cfg(0, 1_000), stream_cfg(1, 1_000));
+        assert_eq!(chunk_plan(&SERVERS[mw1], &zero), chunk_plan(&SERVERS[mw1], &one));
+        for chunk in [0, 100, 197] {
+            let [a, b] = [&zero, &one].map(|cfg| {
+                let mut d = Digest::new();
+                stream_chunk(&SERVERS[mw1], mw1, cfg, 3, chunk, &mut |r| d.record(r));
+                d.0
+            });
+            assert_eq!(a, b, "chunk {chunk}");
         }
     }
 
