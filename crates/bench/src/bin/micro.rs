@@ -154,7 +154,7 @@ fn bench_wifi_channel(s: &mut Suite) {
 }
 
 fn bench_exchange(s: &mut Suite) {
-    use sntp::{perform_exchange, PoolConfig, ServerPool};
+    use sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
     s.bench("full_exchange_wired", |b| {
         let mut tb = netsim::Testbed::wired(6);
         let mut pool = ServerPool::new(PoolConfig::default(), 7);
@@ -164,7 +164,13 @@ fn bench_exchange(s: &mut Suite) {
         b.iter(|| {
             t += 5;
             let id = pool.pick();
-            perform_exchange(&mut tb, pool.server_mut(id), &mut clock, SimTime::from_secs(t))
+            perform_exchange(
+                &mut tb,
+                pool.server_mut(id),
+                &mut clock,
+                SimTime::from_secs(t),
+                ExchangeHooks::default(),
+            )
         })
     });
 }

@@ -19,7 +19,7 @@
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::SimClock;
 use netsim::{FaultInjector, Testbed, WirelessHints};
-use sntp::{perform_exchange, perform_exchange_faulted, HealthConfig, ServerPool};
+use sntp::{perform_exchange, ExchangeHooks, HealthConfig, ServerPool};
 
 use crate::config::MntpConfig;
 use crate::discipline::{Directive, Discipline, ExchangeResult, MntpDiscipline, SntpDiscipline};
@@ -163,8 +163,8 @@ pub struct DriverConfig {
     /// `true`: sample ground-truth clock error on every tick (the
     /// baseline loops); `false`: sample every ~5 s of simulated time.
     pub sample_every_tick: bool,
-    /// Per-exchange round-trip budget; only consulted on the faulted
-    /// path.
+    /// Per-exchange round-trip budget; replies landing later are
+    /// abandoned.
     pub timeout: Option<SimDuration>,
 }
 
@@ -176,11 +176,9 @@ pub struct DriverConfig {
 ///    advances the testbed's background processes, so hint-blind
 ///    clients must not trigger it);
 /// 2. [`Discipline::poll`] — the discipline reads its clock and decides;
-/// 3. one exchange per requested server, through
-///    [`perform_exchange_faulted`] when a fault injector is supplied
-///    and [`perform_exchange`] otherwise (the two are *not* equivalent
-///    even with an empty schedule: the faulted path consults the
-///    injector's RNG);
+/// 3. one [`perform_exchange`] per requested server, under the fault
+///    injector when one is supplied (an injector with an empty schedule
+///    draws nothing from its RNG, so it behaves exactly like `None`);
 /// 4. [`Discipline::complete`] digests the round and optionally yields
 ///    a record;
 /// 5. emitted clock commands are applied at the tick instant;
@@ -211,17 +209,12 @@ pub fn drive(
                 let mut round = Vec::with_capacity(ids.len());
                 for id in ids {
                     run.polls_sent += 1;
-                    let outcome = match faults.as_deref_mut() {
-                        Some(f) => perform_exchange_faulted(
-                            testbed,
-                            pool.server_mut(id),
-                            clock,
-                            t,
-                            f,
-                            cfg.timeout,
-                        ),
-                        None => perform_exchange(testbed, pool.server_mut(id), clock, t),
+                    let hooks = ExchangeHooks {
+                        faults: faults.as_deref_mut(),
+                        timeout: cfg.timeout,
+                        capture: None,
                     };
+                    let outcome = perform_exchange(testbed, pool.server_mut(id), clock, t, hooks);
                     round.push(ExchangeResult { server_id: id, outcome });
                 }
                 if let Some(outcome) = discipline.complete(t, clock, &round) {
@@ -315,8 +308,8 @@ impl Default for RobustConfig {
 /// * server selection goes through a [`sntp::HealthTracker`] instead of
 ///   the pool's uniform pick, so blackholed / rate-limiting servers are
 ///   demoted and traffic fails over;
-/// * every exchange runs under [`perform_exchange_faulted`] with a
-///   per-query timeout, so the injected faults (§ fault model in
+/// * every exchange runs [`perform_exchange`] under the fault injector
+///   with a per-query timeout, so the injected faults (§ fault model in
 ///   DESIGN.md) actually bite;
 /// * kiss-o'-death replies ban the offending server and are recorded as
 ///   [`QueryOutcome::KissODeath`]; failed holdover probes are recorded

@@ -46,7 +46,7 @@ use sntp::fleet::{
     begin_fleet_exchange, complete_fleet_exchange, serve_fleet_exchange, FleetArrival,
     FleetReplyInFlight, FleetRequestInFlight, RequestShape,
 };
-use sntp::{ExchangeError, PickLane, ServerPool};
+use sntp::{ExchangeError, ExchangeHooks, PickLane, ServerPool};
 
 use crate::discipline::{Directive, Discipline, ExchangeResult};
 
@@ -278,8 +278,16 @@ fn shard_poll_phase(
                         entries.push(Entry::Fail(id, ExchangeError::Blackholed));
                         continue;
                     };
-                    match begin_fleet_exchange(&mut lane, &mut client.clock, ci as u32, t, client.shape)
-                    {
+                    let begun = begin_fleet_exchange(
+                        &mut lane,
+                        &mut client.clock,
+                        ci as u32,
+                        id,
+                        t,
+                        client.shape,
+                        &mut ExchangeHooks::default(),
+                    );
+                    match begun {
                         Ok(mut inflight) => {
                             if let Some(plan) = plan {
                                 if plan.drop_uplink(ci as u32, id, inflight.t_eff) {
@@ -352,9 +360,9 @@ fn shard_complete_phase(
                             Some(mut lane) => complete_fleet_exchange(
                                 &mut lane,
                                 &mut client.clock,
-                                &mut inflight.client,
+                                &mut inflight,
                                 &reply,
-                                id,
+                                &mut ExchangeHooks::default(),
                             ),
                             None => Err(ExchangeError::Blackholed),
                         },
@@ -519,8 +527,9 @@ fn run_fleet_impl(
                             let (arrival, reply) = serve_fleet_exchange(
                                 &inflight,
                                 pool.server_mut(id),
-                                model,
+                                Some(model),
                                 round.ci as u32,
+                                &mut ExchangeHooks::default(),
                             );
                             if let Some(arrival) = arrival {
                                 let sec = arrival.at.as_secs_f64() as usize;

@@ -8,7 +8,7 @@ use clocksim::time::{SimDuration, SimTime};
 use mntp::{HintGate, MntpConfig, TrendFilter};
 use netsim::testbed::TestbedConfig;
 use netsim::Testbed;
-use sntp::perform_exchange;
+use sntp::{perform_exchange, ExchangeHooks};
 
 use crate::harness::{default_pool, ClockMode};
 use crate::render;
@@ -72,7 +72,13 @@ pub fn run_arm(label: &str, m: Mechanisms, seed: u64, duration: u64) -> Ablation
             continue;
         }
         let id = pool.pick();
-        let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) else {
+        let Ok(done) = perform_exchange(
+            &mut tb,
+            pool.server_mut(id),
+            &mut clock,
+            t,
+            ExchangeHooks::default(),
+        ) else {
             continue;
         };
         let ms = done.sample.offset.as_millis_f64();

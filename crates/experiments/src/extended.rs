@@ -11,7 +11,7 @@ use netsim::Testbed;
 use ntpd_sim::daemon::{run_ntpd, NtpdConfig};
 use ntpd_sim::HuffPuff;
 use sntp::vendor::{VendorAction, VendorClient, VendorPolicy};
-use sntp::perform_exchange;
+use sntp::{perform_exchange, ExchangeHooks};
 
 use crate::harness::{default_pool, sntp_run, ClockMode};
 use crate::render;
@@ -83,7 +83,13 @@ fn three_way_sntp_arm(seed: u64, duration: u64) -> (Summary, u64, f64) {
             let t = SimTime::ZERO + SimDuration::from_secs((i * 5) as i64);
             meter.record_transfer(t.as_secs_f64(), airtime);
             let id = pool.pick();
-            if let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+            if let Ok(done) = perform_exchange(
+                &mut tb,
+                pool.server_mut(id),
+                &mut clock,
+                t,
+                ExchangeHooks::default(),
+            ) {
                 // SNTP applies the offset directly.
                 clocksim::ClockCommand::Step(done.sample.offset).apply(&mut clock, t);
             }
@@ -213,7 +219,13 @@ fn run_policy(label: &'static str, policy: VendorPolicy, days: u64, seed: u64) -
         if client.on_tick(now_local) == VendorAction::SendRequest {
             polls += 1;
             let id = pool.pick();
-            match perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+            match perform_exchange(
+                &mut tb,
+                pool.server_mut(id),
+                &mut clock,
+                t,
+                ExchangeHooks::default(),
+            ) {
                 Ok(done) => {
                     if let Some(cmd) = client.on_success(clock.now(t), &done.sample) {
                         cmd.apply(&mut clock, t);
@@ -307,7 +319,13 @@ pub fn huffpuff_comparison(seed: u64, duration: u64) -> HuffPuffResult {
         // SNTP and huff-n'-puff share one sample stream (huff-n'-puff is
         // a post-filter on the same exchanges).
         let id = pool.pick();
-        if let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+        if let Ok(done) = perform_exchange(
+            &mut tb,
+            pool.server_mut(id),
+            &mut clock,
+            t,
+            ExchangeHooks::default(),
+        ) {
             let offset_s = done.sample.offset.as_seconds_f64();
             let delay_s = done.sample.delay.as_seconds_f64();
             sntp.push((offset_s * 1e3 - true_offset_ms).abs());
@@ -318,7 +336,13 @@ pub fn huffpuff_comparison(seed: u64, duration: u64) -> HuffPuffResult {
         let hints = tb.hints(t);
         if gate.favorable(hints.as_ref()) {
             let id = pool.pick();
-            if let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+            if let Ok(done) = perform_exchange(
+                &mut tb,
+                pool.server_mut(id),
+                &mut clock,
+                t,
+                ExchangeHooks::default(),
+            ) {
                 let ms = done.sample.offset.as_millis_f64();
                 if filter.offer(t.as_secs_f64(), ms) {
                     mntp.push((ms - true_offset_ms).abs());

@@ -6,7 +6,7 @@ use clocksim::time::{SimDuration, SimTime};
 use clocksim::{OscillatorConfig, SimClock, SimRng};
 use mntp::{HintGate, MntpConfig, TrendFilter};
 use netsim::{Testbed, WirelessHints};
-use sntp::{perform_exchange, PoolConfig, ServerPool};
+use sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 /// How the target node's system clock behaves during a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +92,7 @@ pub fn sntp_run(
     for i in 0..=polls {
         let t = SimTime::ZERO + SimDuration::from_secs_f64(i as f64 * poll_secs);
         let id = pool.pick();
-        match perform_exchange(testbed, pool.server_mut(id), clock, t) {
+        match perform_exchange(testbed, pool.server_mut(id), clock, t, ExchangeHooks::default()) {
             Ok(done) => run.offsets.push((t.as_secs_f64(), done.sample.offset.as_millis_f64())),
             Err(_) => run.losses += 1,
         }
@@ -210,7 +210,13 @@ pub fn paired_run(
 
         // --- SNTP side: polls unconditionally ---
         let id = pool.pick();
-        match perform_exchange(sntp_testbed, pool.server_mut(id), clock, t) {
+        match perform_exchange(
+            sntp_testbed,
+            pool.server_mut(id),
+            clock,
+            t,
+            ExchangeHooks::default(),
+        ) {
             Ok(done) => run.sntp_offsets.push((t_secs, done.sample.offset.as_millis_f64())),
             Err(_) => run.sntp_losses += 1,
         }
@@ -225,7 +231,7 @@ pub fn paired_run(
             MntpEvent::Deferred
         } else {
             let id = pool.pick();
-            match perform_exchange(tb, pool.server_mut(id), clock, t) {
+            match perform_exchange(tb, pool.server_mut(id), clock, t, ExchangeHooks::default()) {
                 Ok(done) => {
                     let ms = done.sample.offset.as_millis_f64();
                     let predicted = filter.predict(t_secs);

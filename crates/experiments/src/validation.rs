@@ -14,7 +14,7 @@ use clocksim::time::{SimDuration, SimTime};
 use clocksim::{ClockControl, OscillatorConfig, SimClock, SimRng};
 use mntp::{Mntp, MntpAction, MntpConfig};
 use netsim::Testbed;
-use sntp::perform_exchange;
+use sntp::{perform_exchange, ExchangeHooks};
 
 use crate::harness::default_pool;
 use crate::render;
@@ -63,9 +63,15 @@ pub fn drift_estimation_accuracy(seed: u64) -> Vec<DriftRow> {
                     let offsets: Vec<f64> = ids
                         .into_iter()
                         .filter_map(|id| {
-                            perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t)
-                                .ok()
-                                .map(|d| d.sample.offset.as_millis_f64())
+                            perform_exchange(
+                                &mut tb,
+                                pool.server_mut(id),
+                                &mut clock,
+                                t,
+                                ExchangeHooks::default(),
+                            )
+                            .ok()
+                            .map(|d| d.sample.offset.as_millis_f64())
                         })
                         .collect();
                     if offsets.is_empty() {
@@ -135,7 +141,13 @@ pub fn temperature_step(seed: u64) -> TemperatureStepResult {
     for i in 0..(2 * 3600 / 5) {
         let t = SimTime::from_secs(i * 5);
         let id = pool.pick();
-        if let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+        if let Ok(done) = perform_exchange(
+            &mut tb,
+            pool.server_mut(id),
+            &mut clock,
+            t,
+            ExchangeHooks::default(),
+        ) {
             let ms = done.sample.offset.as_millis_f64();
             if filter.offer(t.as_secs_f64(), ms) {
                 accepted.push((t.as_secs_f64(), ms));

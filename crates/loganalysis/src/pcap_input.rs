@@ -271,7 +271,7 @@ mod tests {
         // mix from the capture alone.
         use clocksim::{OscillatorConfig, SimClock, SimRng};
         use netsim::Testbed;
-        use sntp::{perform_exchange_traced, PoolConfig, ServerPool};
+        use sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
         let mut tb = Testbed::wired(9);
         let mut pool = ServerPool::new(PoolConfig::default(), 10);
@@ -284,7 +284,8 @@ mod tests {
             let id = pool.pick();
             let server = Endpoint::of([203, 0, 113, id as u8 + 1], 123);
             let mut cap = Vec::new();
-            let _ = perform_exchange_traced(&mut tb, pool.server_mut(id), &mut clock, t, &mut cap);
+            let hooks = ExchangeHooks { capture: Some(&mut cap), ..Default::default() };
+            let _ = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t, hooks);
             for pkt in cap {
                 let (s, d) = if pkt.outbound { (client, server) } else { (server, client) };
                 w.record_udp(pkt.at, s, d, &pkt.bytes).unwrap();

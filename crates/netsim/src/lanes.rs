@@ -178,12 +178,6 @@ impl Lane<'_> {
 }
 
 impl ChannelIo for Lane<'_> {
-    fn advance_to(&mut self, t: SimTime) {
-        Lane::advance_to(self, t);
-    }
-    fn hints(&mut self, t: SimTime) -> WirelessHints {
-        Lane::hints(self, t)
-    }
     fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
         Lane::transmit_up(self, t)
     }

@@ -113,7 +113,7 @@ pub fn all() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Testbed;
+    use crate::{ChannelIo, Testbed};
     use clocksim::time::SimTime;
 
     #[test]
@@ -125,7 +125,7 @@ mod tests {
             for i in 0..200 {
                 let t = SimTime::from_secs(i * 5);
                 assert!(tb.hints(t).is_some(), "{name}: hints missing");
-                if tb.last_hop_up(t).is_some() {
+                if tb.transmit_up(t).is_some() {
                     delivered += 1;
                 }
             }

@@ -30,7 +30,7 @@ use crate::cellular::{CellularChannel, CellularConfig};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
 use crate::kernel::Sim;
 use crate::link::{DelayModel, Link, LossModel};
-use crate::wifi::{WifiChannel, WifiConfig, WirelessHints};
+use crate::wifi::{ChannelIo, WifiChannel, WifiConfig, WirelessHints};
 
 /// Which medium connects the target node to the WAP / Internet.
 pub enum LastHop {
@@ -200,7 +200,7 @@ impl TestbedState {
 /// (cross-traffic decisions, pinger, controller) pre-scheduled.
 ///
 /// ```
-/// use netsim::{Testbed, TestbedConfig};
+/// use netsim::{ChannelIo, Testbed, TestbedConfig};
 /// use clocksim::time::SimTime;
 ///
 /// let mut tb = Testbed::wireless(TestbedConfig::default(), 42);
@@ -209,7 +209,7 @@ impl TestbedState {
 /// assert!(hints.rssi_dbm < 0.0 && hints.noise_dbm < 0.0);
 /// // …and the last hop carries (or drops) packets with channel-state
 /// // dependent delay.
-/// let _delay = tb.last_hop_up(SimTime::from_secs(10));
+/// let _delay = tb.transmit_up(SimTime::from_secs(10));
 /// ```
 pub struct Testbed {
     pub(crate) sim: Sim<TestbedState>,
@@ -322,26 +322,6 @@ impl Testbed {
         }
     }
 
-    /// Send one client→Internet packet across the last hop at `t`.
-    pub fn last_hop_up(&mut self, t: SimTime) -> Option<SimDuration> {
-        self.advance_to(t);
-        match &mut self.state.last_hop {
-            LastHop::Wireless(wifi) => wifi.transmit_up(t),
-            LastHop::Wired { up, .. } => up.transmit(&mut self.state.rng),
-            LastHop::Cellular(cell) => cell.transmit_up(t),
-        }
-    }
-
-    /// Deliver one Internet→client packet across the last hop at `t`.
-    pub fn last_hop_down(&mut self, t: SimTime) -> Option<SimDuration> {
-        self.advance_to(t);
-        match &mut self.state.last_hop {
-            LastHop::Wireless(wifi) => wifi.transmit_down(t),
-            LastHop::Wired { down, .. } => down.transmit(&mut self.state.rng),
-            LastHop::Cellular(cell) => cell.transmit_down(t),
-        }
-    }
-
     /// Construct a wired link with occasional loss, for fault-injection
     /// tests.
     pub fn lossy_wired(seed: u64, loss_prob: f64) -> Self {
@@ -351,6 +331,29 @@ impl Testbed {
             down: Link { delay: DelayModel::ethernet(), loss: LossModel::Bernoulli(loss_prob) },
         };
         tb
+    }
+}
+
+/// The testbed's last hop: background processes advance to `t` first,
+/// then the wireless, wired or cellular segment carries (or drops) the
+/// packet.
+impl ChannelIo for Testbed {
+    fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
+        self.advance_to(t);
+        match &mut self.state.last_hop {
+            LastHop::Wireless(wifi) => wifi.transmit_up(t),
+            LastHop::Wired { up, .. } => up.transmit(&mut self.state.rng),
+            LastHop::Cellular(cell) => cell.transmit_up(t),
+        }
+    }
+
+    fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration> {
+        self.advance_to(t);
+        match &mut self.state.last_hop {
+            LastHop::Wireless(wifi) => wifi.transmit_down(t),
+            LastHop::Wired { down, .. } => down.transmit(&mut self.state.rng),
+            LastHop::Cellular(cell) => cell.transmit_down(t),
+        }
     }
 }
 
@@ -364,8 +367,8 @@ mod tests {
         let mut delays = Vec::new();
         for i in 0..1000 {
             let t = SimTime::from_secs(i);
-            let up = tb.last_hop_up(t).expect("wired never loses");
-            let down = tb.last_hop_down(t).expect("wired never loses");
+            let up = tb.transmit_up(t).expect("wired never loses");
+            let down = tb.transmit_down(t).expect("wired never loses");
             delays.push(up.as_millis_f64() + down.as_millis_f64());
         }
         let mean = delays.iter().sum::<f64>() / delays.len() as f64;
@@ -409,7 +412,7 @@ mod tests {
         let mut losses = 0;
         for i in 0..720 {
             let t = SimTime::from_secs(i * 5);
-            match tb.last_hop_down(t) {
+            match tb.transmit_down(t) {
                 Some(d) => down.push(d.as_millis_f64()),
                 None => losses += 1,
             }
@@ -427,7 +430,7 @@ mod tests {
         // But it passes traffic.
         let mut delivered = 0;
         for i in 0..100 {
-            if tb.last_hop_up(SimTime::from_secs(i * 5)).is_some() {
+            if tb.transmit_up(SimTime::from_secs(i * 5)).is_some() {
                 delivered += 1;
             }
         }
@@ -437,7 +440,7 @@ mod tests {
     #[test]
     fn lossy_wired_loses() {
         let mut tb = Testbed::lossy_wired(6, 0.3);
-        let losses = (0..1000).filter(|i| tb.last_hop_up(SimTime::from_secs(*i)).is_none()).count();
+        let losses = (0..1000).filter(|i| tb.transmit_up(SimTime::from_secs(*i)).is_none()).count();
         assert!((200..400).contains(&losses), "losses={losses}");
     }
 
@@ -446,7 +449,7 @@ mod tests {
         let run = |seed| {
             let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
             (0..200)
-                .map(|i| tb.last_hop_down(SimTime::from_secs(i * 5)).map(|d| d.as_nanos()))
+                .map(|i| tb.transmit_down(SimTime::from_secs(i * 5)).map(|d| d.as_nanos()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));

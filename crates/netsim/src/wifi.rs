@@ -332,18 +332,16 @@ pub(crate) fn downlink_bloat_ms(cfg: &WifiConfig, utilization: f64, rng: &mut Si
 }
 
 /// The last-hop transmit surface shared by [`WifiChannel`] (one struct per
-/// lane) and [`crate::lanes::Lane`] (a view into the struct-of-arrays
-/// [`crate::lanes::ChannelBank`]). Exchange drivers that only need to move
-/// packets and read hints are generic over this, so the same code serves the
+/// lane), [`crate::lanes::Lane`] (a view into the struct-of-arrays
+/// [`crate::lanes::ChannelBank`]) and the assembled [`crate::Testbed`]. The
+/// exchange phases are generic over this, so the same code serves the
 /// single-device testbed and the million-client fleet.
 pub trait ChannelIo {
-    /// Evolve the channel state up to `t`.
-    fn advance_to(&mut self, t: SimTime);
-    /// Current wireless hints (advances the channel to `t` first).
-    fn hints(&mut self, t: SimTime) -> WirelessHints;
-    /// Transmit an uplink (station → WAP) packet at time `t`.
+    /// Transmit an uplink (station → WAP) packet at time `t`; `None` when
+    /// the hop loses it.
     fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration>;
-    /// Transmit a downlink (WAP → station) packet at time `t`.
+    /// Transmit a downlink (WAP → station) packet at time `t`; `None` when
+    /// the hop loses it.
     fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration>;
 }
 
@@ -480,12 +478,6 @@ impl WifiChannel {
 }
 
 impl ChannelIo for WifiChannel {
-    fn advance_to(&mut self, t: SimTime) {
-        WifiChannel::advance_to(self, t);
-    }
-    fn hints(&mut self, t: SimTime) -> WirelessHints {
-        WifiChannel::hints(self, t)
-    }
     fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
         WifiChannel::transmit_up(self, t)
     }

@@ -315,9 +315,10 @@ pub fn run_ntpd(
     run_ntpd_inner(cfg, testbed, pool, clock, None, None, duration_secs)
 }
 
-/// [`run_ntpd`] through the fault-injecting network: every exchange goes
-/// via [`sntp::perform_exchange_faulted`] with a per-poll timeout, so
-/// outages, loss storms, kiss-o'-death and corruption all bite. The
+/// [`run_ntpd`] through the fault-injecting network: every exchange runs
+/// [`sntp::perform_exchange`] under the injector with a per-poll
+/// timeout, so outages, loss storms, kiss-o'-death and corruption all
+/// bite. The
 /// daemon's own RFC 5905 machinery (reachability registers, poll
 /// backoff) is its hardening; this driver adds nothing on top, which is
 /// exactly what makes it a fair comparison arm for the fault sweep.
@@ -337,7 +338,7 @@ pub fn run_ntpd_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sntp::perform_exchange;
+    use sntp::{perform_exchange, ExchangeHooks};
     use clocksim::{OscillatorConfig, SimRng};
     use ntp_wire::NtpDuration;
     use sntp::PoolConfig;
@@ -416,7 +417,13 @@ mod tests {
             let due = daemon.due_peers(now);
             let mut any = false;
             for id in due {
-                if let Ok(d) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+                if let Ok(d) = perform_exchange(
+                    &mut tb,
+                    pool.server_mut(id),
+                    &mut clock,
+                    t,
+                    ExchangeHooks::default(),
+                ) {
                     daemon.on_sample(now, id, d.sample.offset.as_seconds_f64(), d.sample.delay.as_seconds_f64());
                     any = true;
                 } else {

@@ -1,42 +1,41 @@
-//! Fleet-scale exchange: one client among many, one server with a
-//! capacity model.
+//! The SNTP round trip, factored into three phases.
 //!
-//! [`perform_fleet_exchange`] is the multi-client sibling of
-//! [`crate::perform_exchange`]: the last hop is one lane of a shared
-//! [`netsim::fleet::FleetNet`] (any [`ChannelIo`] — a standalone
-//! `WifiChannel` or a `Lane` view of the struct-of-arrays bank), and the
-//! server is fronted by a [`netsim::fleet::ServerModel`] that can drop
-//! the request on backlog overflow or answer a RATE kiss under load.
-//! Alongside the client-side outcome it emits the *server-side*
+//! Every exchange in the workspace runs these three functions in order,
+//! whether it is one testbed device ([`crate::perform_exchange`]) or one
+//! client among many in a sharded fleet:
+//!
+//! 1. [`begin_fleet_exchange`] — client side: stamp `t1`, shape the
+//!    request, pay the last-hop uplink. Touches only the client's own
+//!    clock and channel → safe to run shard-parallel.
+//! 2. [`serve_fleet_exchange`] — server side: backbone up, admission,
+//!    serve, backbone down. Admission is a
+//!    [`netsim::fleet::ServerModel`] capacity decision (which can drop
+//!    the request on backlog overflow or answer a RATE kiss under load)
+//!    or, without a model, the server's own min-poll rule. Touches the
+//!    shared server state → the fleet runner executes these serially in
+//!    global client-id order.
+//! 3. [`complete_fleet_exchange`] — client side again: last-hop
+//!    downlink, stamp `t4`, classify the reply → shard-parallel.
+//!
+//! The last hop is any [`ChannelIo`]: one lane of a shared
+//! [`netsim::fleet::FleetNet`], a standalone `WifiChannel`, or the whole
+//! `Testbed`. [`ExchangeHooks`] carry the single-device extras through
+//! the phases — a fault layer consulted between the hops, a per-query
+//! timeout and a packet capture; fleets run with the null default.
+//! Alongside the client-side outcome, phase 2 emits the *server-side*
 //! observation — the raw request bytes and true arrival time — so a
 //! simulated fleet produces exactly the kind of log the paper's §3.1
 //! measurement pipeline consumes.
-//!
-//! # Phases
-//!
-//! The round trip is factored into three phase functions so the sharded
-//! fleet runner can pipeline them across an epoch barrier:
-//!
-//! 1. [`begin_fleet_exchange`] — client side: stamp `t1`, shape the
-//!    request, pay the wireless uplink. Touches only the client's own
-//!    clock and channel lane → safe to run shard-parallel.
-//! 2. [`serve_fleet_exchange`] — server side: backbone up, capacity
-//!    decision, serve, backbone down. Touches the shared server state →
-//!    the runner executes these serially in global client-id order.
-//! 3. [`complete_fleet_exchange`] — client side again: wireless
-//!    downlink, stamp `t4`, classify the reply → shard-parallel.
-//!
-//! [`perform_fleet_exchange`] is exactly the three phases composed, so
-//! single-exchange callers keep the original one-call surface.
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::ClockControl;
+use netsim::faults::{FaultInjector, PacketFate};
 use netsim::fleet::{ServerModel, ServiceDecision};
 use netsim::wifi::ChannelIo;
 use ntp_wire::{refid::RefId, NtpDuration, NtpPacket, NtpShort};
 
 use crate::client::{ReplyOutcome, SntpClient};
-use crate::exchange::{CompletedExchange, ExchangeError};
+use crate::exchange::{CompletedExchange, ExchangeError, ExchangeHooks, TracedPacket};
 use crate::server::SimServer;
 
 /// On-the-wire shape of the request a fleet client emits.
@@ -99,74 +98,120 @@ pub struct FleetRequestInFlight {
     pub request: NtpPacket,
     /// Serialized request bytes, as a capture would record them.
     pub request_bytes: Vec<u8>,
-    /// Wireless uplink delay already paid.
+    /// Last-hop uplink delay already paid.
     pub hop_up: SimDuration,
     /// Effective transmit instant (`t` clamped forward to the client
     /// clock's position).
     pub t_eff: SimTime,
+    /// The server the request is addressed to.
+    pub server_id: usize,
 }
 
 /// A reply that has left the server but not yet crossed the last hop:
 /// everything phase 3 needs from phase 2.
 #[derive(Clone, Debug)]
 pub struct FleetReplyInFlight {
-    /// Serialized reply bytes.
+    /// Serialized reply bytes, as they will land (corrupted in flight
+    /// when the fault layer says so).
     pub reply_bytes: Vec<u8>,
     /// True departure time of the reply at the server.
     pub departure: SimTime,
-    /// Backbone downlink delay already paid.
+    /// Backbone downlink delay already paid, extra fault-layer delay
+    /// included.
     pub bb_down: SimDuration,
     /// Arrival time at the WAP (`departure + bb_down`).
     pub at_wap: SimTime,
-    /// True forward path delay (`hop_up + bb_up`), for ground truth.
+    /// True forward path delay (`hop_up + bb_up` plus any extra
+    /// fault-layer delay), for ground truth.
     pub fwd: SimDuration,
+    /// The fault layer duplicated the reply: a second copy lands right
+    /// behind the first.
+    pub duplicate: bool,
+}
+
+/// The error a fault-layer drop at `t` surfaces as: a server outage
+/// blackholes the packet, a loss storm looks like last-hop loss.
+fn fault_drop(
+    faults: &FaultInjector,
+    t: SimTime,
+    server: usize,
+    lost: ExchangeError,
+) -> ExchangeError {
+    if faults.outage_active(t, server) {
+        ExchangeError::Blackholed
+    } else {
+        lost
+    }
 }
 
 /// Phase 1 (client side): stamp `t1`, shape and serialize the request,
-/// pay the wireless uplink.
+/// pay the last-hop uplink.
+///
+/// A capture records the request as it leaves, even if it is then
+/// lost. The fault layer's uplink check sits between the stamp and the
+/// last-hop draw, so a request it drops never draws the channel.
 pub fn begin_fleet_exchange<C: ChannelIo>(
     chan: &mut C,
     clock: &mut dyn ClockControl,
     client_id: u32,
+    server_id: usize,
     t: SimTime,
     shape: RequestShape,
+    hooks: &mut ExchangeHooks<'_>,
 ) -> Result<FleetRequestInFlight, ExchangeError> {
+    // A request cannot depart at a time the clock has already passed
+    // (e.g. another client on the same host just finished an exchange
+    // that advanced it). Without this clamp, T1 would be stamped with a
+    // *later* clock state than the nominal departure time, biasing the
+    // measured offset by half the discrepancy.
     let t = t.max(clock.position());
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
-    let request_bytes = client.make_request(t1);
-    let request = match NtpPacket::parse(&request_bytes) {
-        Ok(mut p) => {
-            if shape == RequestShape::Ntpd {
-                ntpd_shape(&mut p, client_id);
-            }
-            p
-        }
-        Err(_) => return Err(ExchangeError::RejectedReply),
+    let mut request_bytes = client.make_request(t1);
+    let Ok(mut request) = NtpPacket::parse(&request_bytes) else {
+        return Err(ExchangeError::RejectedReply);
     };
-    let request_bytes = request.serialize();
+    if shape == RequestShape::Ntpd {
+        ntpd_shape(&mut request, client_id);
+        request_bytes = request.serialize();
+    }
+    if let Some(capture) = hooks.capture.as_deref_mut() {
+        capture.push(TracedPacket { at: t, outbound: true, bytes: request_bytes.clone() });
+    }
+    if let Some(faults) = hooks.faults.as_deref_mut() {
+        if faults.uplink_fate(t, server_id) == PacketFate::Drop {
+            return Err(fault_drop(faults, t, server_id, ExchangeError::LostLastHopUp));
+        }
+    }
 
-    // Client → WAP over this client's channel lane.
+    // Client → WAP over this client's last hop.
     let Some(hop_up) = chan.transmit_up(t) else {
         return Err(ExchangeError::LostLastHopUp);
     };
-    Ok(FleetRequestInFlight { client, request, request_bytes, hop_up, t_eff: t })
+    Ok(FleetRequestInFlight { client, request, request_bytes, hop_up, t_eff: t, server_id })
 }
 
-/// Phase 2 (server side): backbone uplink, capacity decision, service,
-/// backbone downlink. Touches shared server state — the fleet runner
-/// calls this serially in global client-id order.
+/// Phase 2 (server side): backbone uplink, admission, service, backbone
+/// downlink. Touches shared server state — the fleet runner calls this
+/// serially in global client-id order.
 ///
-/// Returns the server-side arrival observation (when the request reached
-/// the server at all) alongside the in-flight reply. A
+/// Admission is `model`'s capacity decision when one fronts the server,
+/// else the server's own min-poll rule ([`SimServer::admit`]). Returns
+/// the server-side arrival observation (when the request reached the
+/// server at all) alongside the in-flight reply. A
 /// [`ServiceDecision::Dropped`] request surfaces to the client as
 /// [`ExchangeError::Blackholed`] — from the phone's point of view a
 /// queue-overflow drop and a blackholed packet are indistinguishable.
+///
+/// The fault layer adds its extra uplink delay after the backbone draw,
+/// decides the reply's fate after service, and adds its extra downlink
+/// delay to the backbone leg.
 pub fn serve_fleet_exchange(
     inflight: &FleetRequestInFlight,
     server: &mut SimServer,
-    model: &mut ServerModel,
+    model: Option<&mut ServerModel>,
     client_id: u32,
+    hooks: &mut ExchangeHooks<'_>,
 ) -> (Option<FleetArrival>, Result<FleetReplyInFlight, ExchangeError>) {
     // WAP → server across the backbone.
     let bb_up = {
@@ -176,11 +221,12 @@ pub fn serve_fleet_exchange(
     let Some(bb_up) = bb_up else {
         return (None, Err(ExchangeError::LostBackboneUp));
     };
-    let fwd = inflight.hop_up + bb_up;
+    let mut fwd = inflight.hop_up + bb_up;
+    if let Some(faults) = hooks.faults.as_deref() {
+        fwd = fwd + faults.extra_delay_up(inflight.t_eff);
+    }
     let arrival_at = inflight.t_eff + fwd;
 
-    // The capacity model decides the request's fate.
-    let decision = model.on_arrival(client_id, arrival_at);
     let mut arrival = FleetArrival {
         client_id,
         server_id: server.id,
@@ -189,80 +235,109 @@ pub fn serve_fleet_exchange(
         dropped: false,
         kod: false,
     };
-    let (depart, kod) = match decision {
-        ServiceDecision::Dropped => {
+    let (depart, kod) = match model.map(|m| m.on_arrival(client_id, arrival_at)) {
+        Some(ServiceDecision::Dropped) => {
             arrival.dropped = true;
             return (Some(arrival), Err(ExchangeError::Blackholed));
         }
-        ServiceDecision::Served { depart, kod } => (depart, kod),
+        Some(ServiceDecision::Served { depart, kod }) => (depart, kod),
+        None => server.admit(u64::from(client_id), arrival_at),
     };
     arrival.kod = kod;
-    let (reply_bytes, departure) = server.serve(&inflight.request, arrival_at, depart, kod);
+    let (mut reply_bytes, departure) = server.serve(&inflight.request, arrival_at, depart, kod);
+
+    let fate = match hooks.faults.as_deref_mut() {
+        Some(faults) => match faults.downlink_fate(departure, server.id) {
+            PacketFate::Drop => {
+                let lost = fault_drop(faults, departure, server.id, ExchangeError::LostLastHopDown);
+                return (Some(arrival), Err(lost));
+            }
+            fate => fate,
+        },
+        None => PacketFate::Deliver,
+    };
+    if fate == PacketFate::Corrupt {
+        // Flip the origin-timestamp field: the packet still parses but
+        // cannot pass the bogus-reply check.
+        if let Some(origin) = reply_bytes.get_mut(24..32) {
+            for b in origin {
+                *b ^= 0xFF;
+            }
+        }
+    }
 
     // Server → WAP.
     let bb_down = {
         let SimServer { backbone_down, rng, .. } = server;
         backbone_down.transmit(rng)
     };
-    let Some(bb_down) = bb_down else {
+    let Some(mut bb_down) = bb_down else {
         return (Some(arrival), Err(ExchangeError::LostBackboneDown));
     };
+    if let Some(faults) = hooks.faults.as_deref() {
+        bb_down = bb_down + faults.extra_delay_down(departure);
+    }
     let at_wap = departure + bb_down;
-    (Some(arrival), Ok(FleetReplyInFlight { reply_bytes, departure, bb_down, at_wap, fwd }))
+    let duplicate = fate == PacketFate::Duplicate;
+    let reply = FleetReplyInFlight { reply_bytes, departure, bb_down, at_wap, fwd, duplicate };
+    (Some(arrival), Ok(reply))
 }
 
-/// Phase 3 (client side): wireless downlink, stamp `t4`, classify the
+/// Phase 3 (client side): last-hop downlink, stamp `t4`, classify the
 /// reply.
+///
+/// The downlink is sampled at the reply's arrival at the WAP, so it sees
+/// the channel state of that moment. A capture records the reply as it
+/// lands. If it lands after the hooks' timeout, the request is
+/// abandoned (`Err(Timeout)`) and the late reply is fed to the client
+/// anyway — it must be rejected, exactly like a stale packet on real
+/// hardware; a duplicated reply's second copy is handled the same way
+/// after the first is consumed.
 pub fn complete_fleet_exchange<C: ChannelIo>(
     chan: &mut C,
     clock: &mut dyn ClockControl,
-    client: &mut SntpClient,
+    inflight: &mut FleetRequestInFlight,
     reply: &FleetReplyInFlight,
-    server_id: usize,
+    hooks: &mut ExchangeHooks<'_>,
 ) -> Result<CompletedExchange, ExchangeError> {
     let Some(hop_down) = chan.transmit_down(reply.at_wap) else {
         return Err(ExchangeError::LostLastHopDown);
     };
     let back = reply.bb_down + hop_down;
     let completed_at = reply.departure + back;
+    if let Some(capture) = hooks.capture.as_deref_mut() {
+        let bytes = reply.reply_bytes.clone();
+        capture.push(TracedPacket { at: completed_at, outbound: false, bytes });
+    }
 
     let t4 = clock.now(completed_at);
+    let client = &mut inflight.client;
+    if hooks.timeout.is_some_and(|to| (completed_at - inflight.t_eff).as_nanos() > to.as_nanos()) {
+        // The caller gave up before the reply landed; the late packet
+        // still reaches the socket and must be rejected, not applied.
+        client.abandon();
+        let late = client.on_reply_classified(&reply.reply_bytes, t4);
+        debug_assert!(late.is_err(), "stale reply must not be accepted");
+        return Err(ExchangeError::Timeout);
+    }
     match client.on_reply_classified(&reply.reply_bytes, t4) {
-        Ok(ReplyOutcome::Sample(sample)) => Ok(CompletedExchange {
-            sample,
-            true_fwd: reply.fwd,
-            true_back: back,
-            completed_at,
-            server_id,
-        }),
+        Ok(ReplyOutcome::Sample(sample)) => {
+            if reply.duplicate {
+                // The clone lands right behind the consumed original.
+                let dup = client.on_reply_classified(&reply.reply_bytes, t4);
+                debug_assert!(dup.is_err(), "duplicate reply must not be double-applied");
+            }
+            Ok(CompletedExchange {
+                sample,
+                true_fwd: reply.fwd,
+                true_back: back,
+                completed_at,
+                server_id: inflight.server_id,
+            })
+        }
         Ok(ReplyOutcome::KissODeath(code)) => Err(ExchangeError::KissODeath(code)),
         Err(_) => Err(ExchangeError::RejectedReply),
     }
-}
-
-/// One request/reply round trip for fleet client `client_id` at true
-/// time `t`, through its own channel lane, against `server` fronted by
-/// `model` — the three phase functions composed back-to-back.
-pub fn perform_fleet_exchange<C: ChannelIo>(
-    chan: &mut C,
-    server: &mut SimServer,
-    model: &mut ServerModel,
-    clock: &mut dyn ClockControl,
-    client_id: u32,
-    t: SimTime,
-    shape: RequestShape,
-) -> (Option<FleetArrival>, Result<CompletedExchange, ExchangeError>) {
-    let mut inflight = match begin_fleet_exchange(chan, clock, client_id, t, shape) {
-        Ok(f) => f,
-        Err(e) => return (None, Err(e)),
-    };
-    let (arrival, reply) = serve_fleet_exchange(&inflight, server, model, client_id);
-    let reply = match reply {
-        Ok(r) => r,
-        Err(e) => return (arrival, Err(e)),
-    };
-    let outcome = complete_fleet_exchange(chan, clock, &mut inflight.client, &reply, server.id);
-    (arrival, outcome)
 }
 
 #[cfg(test)]
@@ -277,6 +352,30 @@ mod tests {
     fn test_clock(seed: u64) -> SimClock {
         let osc = OscillatorConfig::laptop().with_skew_ppm(30.0).build(SimRng::new(seed));
         SimClock::new(osc, SimTime::ZERO)
+    }
+
+    /// The three phases back-to-back for fleet client `client_id`
+    /// against server `server` fronted by `model`.
+    fn round_trip<C: ChannelIo>(
+        chan: &mut C,
+        server: &mut SimServer,
+        model: &mut ServerModel,
+        clock: &mut SimClock,
+        client_id: u32,
+        t: SimTime,
+        shape: RequestShape,
+    ) -> (Option<FleetArrival>, Result<CompletedExchange, ExchangeError>) {
+        let hooks = &mut ExchangeHooks::default();
+        let mut request =
+            match begin_fleet_exchange(chan, clock, client_id, server.id, t, shape, hooks) {
+                Ok(r) => r,
+                Err(e) => return (None, Err(e)),
+            };
+        let (arrival, reply) =
+            serve_fleet_exchange(&request, server, Some(model), client_id, hooks);
+        let outcome =
+            reply.and_then(|r| complete_fleet_exchange(chan, clock, &mut request, &r, hooks));
+        (arrival, outcome)
     }
 
     fn setup() -> (FleetNet, ServerPool, SimClock) {
@@ -295,7 +394,7 @@ mod tests {
         let t = SimTime::from_secs(5);
         net.advance_to(t);
         let (mut chan, model) = net.lanes(0, 0).expect("lane 0/0");
-        let (arrival, outcome) = perform_fleet_exchange(
+        let (arrival, outcome) = round_trip(
             &mut chan,
             pool.server_mut(0),
             model,
@@ -322,7 +421,7 @@ mod tests {
         let t = SimTime::from_secs(5);
         net.advance_to(t);
         let (mut chan, model) = net.lanes(1, 0).expect("lane 1/0");
-        let (arrival, outcome) = perform_fleet_exchange(
+        let (arrival, outcome) = round_trip(
             &mut chan,
             pool.server_mut(0),
             model,
@@ -360,7 +459,7 @@ mod tests {
             // serialize the burst via the departure clamp.
             let mut clock = test_clock(100 + c as u64);
             let (mut chan, model) = net.lanes(c as usize, 0).expect("lane");
-            let (_, outcome) = perform_fleet_exchange(
+            let (_, outcome) = round_trip(
                 &mut chan,
                 pool.server_mut(0),
                 model,

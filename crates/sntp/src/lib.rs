@@ -18,6 +18,9 @@
 //!   walks it across the last hop and backbone (each leg can drop or
 //!   delay it), has the server answer, and walks the reply back. All four
 //!   timestamps come from the respective clocks; nothing reads true time.
+//! * [`fleet`] — the three phases every round trip is built from
+//!   (begin / serve / complete), split so the sharded fleet runner can
+//!   pipeline them across an epoch barrier.
 //! * [`vendor`] — Android KitKat / Windows Mobile SNTP policies and NITZ,
 //!   reproducing the OS behaviours in §2 of the paper.
 //! * [`energy`] — the Balasubramanian-style radio energy model behind
@@ -33,10 +36,10 @@
 //!   zero-copy parse → classify → sharded rate-limit → in-place reply
 //!   emission, behaviorally pinned to [`server::SimServer`].
 //!
-//! The hardened-client surface ([`exchange::perform_exchange_faulted`],
-//! [`pool::HealthTracker`], kiss-o'-death handling via
-//! [`client::ReplyOutcome`]) composes with `netsim::faults` to survive
-//! the episodic failures the fault layer injects.
+//! The hardened-client surface (a fault layer and timeout in
+//! [`exchange::ExchangeHooks`], [`pool::HealthTracker`], kiss-o'-death
+//! handling via [`client::ReplyOutcome`]) composes with `netsim::faults`
+//! to survive the episodic failures the fault layer injects.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,12 +58,11 @@ pub mod vendor;
 pub use client::{OffsetSample, ReplyOutcome, SntpClient};
 pub use energy::{EnergyMeter, EnergyModel};
 pub use fleet::{
-    begin_fleet_exchange, complete_fleet_exchange, perform_fleet_exchange, serve_fleet_exchange,
-    FleetArrival, FleetReplyInFlight, FleetRequestInFlight, RequestShape,
+    begin_fleet_exchange, complete_fleet_exchange, serve_fleet_exchange, FleetArrival,
+    FleetReplyInFlight, FleetRequestInFlight, RequestShape,
 };
 pub use exchange::{
-    perform_exchange, perform_exchange_faulted, perform_exchange_traced, CompletedExchange,
-    ExchangeError, TracedPacket,
+    perform_exchange, CompletedExchange, ExchangeError, ExchangeHooks, TracedPacket,
 };
 pub use pool::{
     HealthConfig, HealthTracker, PickLane, PoolConfig, ServerHealth, ServerPool, ServerSelect,

@@ -78,24 +78,31 @@ impl SimServer {
         arrival: SimTime,
     ) -> Result<(Vec<u8>, SimTime), WireError> {
         let request = NtpPacket::parse(request_bytes)?;
-        // Rate limiting: answer a kiss-o'-death instead of time.
+        let (departure, kod) = self.admit(client, arrival);
+        Ok(self.serve(&request, arrival, departure, kod))
+    }
+
+    /// The server's own admission rule for a request from `client`
+    /// arriving at `arrival`: it departs after the processing delay, and
+    /// min-poll rate limiting decides whether it is answered with a RATE
+    /// kiss instead of time. Returns `(departure, kod)`.
+    pub fn admit(&mut self, client: u64, arrival: SimTime) -> (SimTime, bool) {
         let mut too_fast = false;
         if let Some(min) = self.min_poll_interval {
             let arrival_ns = arrival.as_nanos();
             let prev = self.last_request.upsert(client, arrival_ns);
             too_fast = prev.is_some_and(|p| arrival_ns - p < min.as_nanos());
         }
-        let departure = arrival + self.proc_delay;
-        Ok(self.serve(&request, arrival, departure, too_fast))
+        (arrival + self.proc_delay, too_fast)
     }
 
     /// Answer an already-parsed request with an externally decided fate:
-    /// the caller (either [`handle`](Self::handle) or a fleet-scale
-    /// service model) picks the departure time and whether to send a
-    /// RATE kiss; this method only stamps the packet from the server's
-    /// clock. Timestamp reads preserve the historical order — KoD reads
-    /// the clock once at `departure`; a time reply reads at `arrival`
-    /// then `departure`.
+    /// the caller ([`admit`](Self::admit) or a fleet-scale service
+    /// model) picks the departure time and whether to send a RATE kiss;
+    /// this method only stamps the packet from the server's clock.
+    /// Timestamp reads preserve the historical order — KoD reads the
+    /// clock once at `departure`; a time reply reads at `arrival` then
+    /// `departure`.
     pub fn serve(
         &mut self,
         request: &NtpPacket,

@@ -9,7 +9,7 @@
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::SimClock;
 use netsim::Testbed;
-use sntp::{perform_exchange, ServerPool};
+use sntp::{perform_exchange, ExchangeHooks, ServerPool};
 
 use crate::trace::{Trace, TraceRow};
 
@@ -34,7 +34,7 @@ pub fn record_trace(
         let offsets_ms = ids
             .into_iter()
             .map(|id| {
-                perform_exchange(testbed, pool.server_mut(id), clock, t)
+                perform_exchange(testbed, pool.server_mut(id), clock, t, ExchangeHooks::default())
                     .ok()
                     .map(|done| done.sample.offset.as_millis_f64())
             })

@@ -15,7 +15,7 @@ use mntp_repro::clocksim::{OscillatorConfig, SimClock, SimRng};
 use mntp_repro::netsim::pcap::{Endpoint, PcapWriter};
 use mntp_repro::netsim::testbed::TestbedConfig;
 use mntp_repro::netsim::Testbed;
-use mntp_repro::sntp::{perform_exchange_traced, PoolConfig, ServerPool};
+use mntp_repro::sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 fn main() -> std::io::Result<()> {
     let mut testbed = Testbed::wireless(TestbedConfig::default(), 5);
@@ -34,8 +34,9 @@ fn main() -> std::io::Result<()> {
         // Give each pool server a distinct plausible address.
         let server_ep = Endpoint::of([203, 0, 113, (server_id as u8) + 1], 123);
         let mut capture = Vec::new();
+        let hooks = ExchangeHooks { capture: Some(&mut capture), ..Default::default() };
         let outcome =
-            perform_exchange_traced(&mut testbed, pool.server_mut(server_id), &mut clock, t, &mut capture);
+            perform_exchange(&mut testbed, pool.server_mut(server_id), &mut clock, t, hooks);
         for pkt in capture {
             let (src, dst) = if pkt.outbound { (client_ep, server_ep) } else { (server_ep, client_ep) };
             pcap.record_udp(pkt.at, src, dst, &pkt.bytes)?;

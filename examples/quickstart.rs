@@ -10,7 +10,7 @@ use mntp_repro::clocksim::{stats, OscillatorConfig, SimClock, SimRng};
 use mntp_repro::mntp::{run_baseline, MntpConfig};
 use mntp_repro::netsim::testbed::TestbedConfig;
 use mntp_repro::netsim::Testbed;
-use mntp_repro::sntp::{perform_exchange, PoolConfig, ServerPool};
+use mntp_repro::sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 fn main() {
     let seed = 7u64;
@@ -29,7 +29,13 @@ fn main() {
     for i in 0..180 {
         let t = SimTime::from_secs(i * 5);
         let server = pool.pick();
-        if let Ok(done) = perform_exchange(&mut testbed, pool.server_mut(server), &mut clock, t) {
+        if let Ok(done) = perform_exchange(
+            &mut testbed,
+            pool.server_mut(server),
+            &mut clock,
+            t,
+            ExchangeHooks::default(),
+        ) {
             sntp_offsets.push(done.sample.offset.as_millis_f64());
         }
     }

@@ -9,7 +9,7 @@ use mntp_repro::clocksim::time::SimTime;
 use mntp_repro::clocksim::{ClockControl, OscillatorConfig, SimClock, SimRng};
 use mntp_repro::netsim::Testbed;
 use mntp_repro::sntp::vendor::{VendorAction, VendorClient, VendorPolicy};
-use mntp_repro::sntp::{perform_exchange, PoolConfig, ServerPool};
+use mntp_repro::sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 fn simulate(label: &str, policy: VendorPolicy, days: u64, seed: u64) {
     let mut tb = Testbed::wired(seed);
@@ -26,7 +26,13 @@ fn simulate(label: &str, policy: VendorPolicy, days: u64, seed: u64) {
         if client.on_tick(clock.now(t)) == VendorAction::SendRequest {
             polls += 1;
             let id = pool.pick();
-            match perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t) {
+            match perform_exchange(
+                &mut tb,
+                pool.server_mut(id),
+                &mut clock,
+                t,
+                ExchangeHooks::default(),
+            ) {
                 Ok(done) => {
                     if let Some(cmd) = client.on_success(clock.now(t), &done.sample) {
                         cmd.apply(&mut clock, t);

@@ -10,7 +10,7 @@ use mntp_repro::clocksim::time::SimTime;
 use mntp_repro::clocksim::{stats, OscillatorConfig, SimClock, SimRng};
 use mntp_repro::netsim::testbed::TestbedConfig;
 use mntp_repro::netsim::Testbed;
-use mntp_repro::sntp::{perform_exchange, PoolConfig, ServerPool};
+use mntp_repro::sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 fn run_sntp(testbed: &mut Testbed, seed: u64, minutes: u64) -> Vec<f64> {
     let mut pool = ServerPool::new(PoolConfig::default(), seed);
@@ -20,7 +20,13 @@ fn run_sntp(testbed: &mut Testbed, seed: u64, minutes: u64) -> Vec<f64> {
     for i in 0..minutes * 12 {
         let t = SimTime::from_secs(i as i64 * 5);
         let id = pool.pick();
-        if let Ok(done) = perform_exchange(testbed, pool.server_mut(id), &mut clock, t) {
+        if let Ok(done) = perform_exchange(
+            testbed,
+            pool.server_mut(id),
+            &mut clock,
+            t,
+            ExchangeHooks::default(),
+        ) {
             offsets.push(done.sample.offset.as_millis_f64());
         }
     }

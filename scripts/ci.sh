@@ -45,6 +45,11 @@ cargo run --release --offline -p mntp-bench --bin compare -- \
 echo "== repro smoke (quick suite, release) =="
 MNTP_SMOKE=1 cargo test -q --release --offline --test repro_smoke
 
+echo "== single-client round trip: pinned exchanges, faults end to end, faultsweep jobs-invariant =="
+cargo test -q --release --offline -p sntp --lib exchange::
+cargo test -q --release --offline --test faults_e2e
+cargo test -q --release --offline --test parallel_equivalence faultsweep
+
 echo "== fleet is jobs-invariant (artifact + sharded trial) =="
 cargo test -q --release --offline --test parallel_equivalence fleet
 

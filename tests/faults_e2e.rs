@@ -12,7 +12,7 @@ use clocksim::{OscillatorConfig, SimClock, SimRng};
 use mntp::{ApplyMode, MntpConfig, RobustConfig};
 use netsim::testbed::TestbedConfig;
 use netsim::{FaultInjector, FaultKind, FaultSchedule, ServerSet, Testbed};
-use sntp::{perform_exchange_faulted, PoolConfig, ServerPool};
+use sntp::{perform_exchange, ExchangeHooks, PoolConfig, ServerPool};
 
 /// The outage window, seconds into the run.
 const OUTAGE: (f64, f64) = (1800.0, 3000.0);
@@ -71,14 +71,8 @@ fn sntp_outage_errors(seed: u64) -> Vec<(f64, f64)> {
     for i in 0..=(DURATION / 5) {
         let t = SimTime::ZERO + SimDuration::from_secs((i * 5) as i64);
         let id = pool.pick();
-        if let Ok(done) = perform_exchange_faulted(
-            &mut tb,
-            pool.server_mut(id),
-            &mut clock,
-            t,
-            &mut faults,
-            timeout,
-        ) {
+        let hooks = ExchangeHooks { faults: Some(&mut faults), timeout, capture: None };
+        if let Ok(done) = perform_exchange(&mut tb, pool.server_mut(id), &mut clock, t, hooks) {
             clocksim::ClockCommand::Step(done.sample.offset).apply(&mut clock, t);
         }
         errors.push((t.as_secs_f64(), clock.true_error(t).as_millis_f64()));
