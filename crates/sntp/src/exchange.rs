@@ -143,7 +143,7 @@ pub fn perform_exchange(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pool::{PoolConfig, ServerPool};
     use clocksim::{OscillatorConfig, SimClock, SimRng};
@@ -564,16 +564,16 @@ mod tests {
     }
 
     /// FNV-1a over little-endian words and raw bytes.
-    struct Fnv(u64);
+    pub(crate) struct Fnv(pub(crate) u64);
 
     impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
+        pub(crate) fn bytes(&mut self, bytes: &[u8]) {
             for &b in bytes {
                 self.0 ^= u64::from(b);
                 self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
             }
         }
-        fn word(&mut self, v: u64) {
+        pub(crate) fn word(&mut self, v: u64) {
             self.bytes(&v.to_le_bytes());
         }
         fn outcome(&mut self, r: &Result<CompletedExchange, ExchangeError>) {
