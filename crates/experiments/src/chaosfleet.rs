@@ -373,8 +373,7 @@ fn run_arm(
             queue_capacity: 6144,
             service_time: SimDuration::from_secs_f64(60e-6),
             overload_backlog: 4608,
-            ladder: Some(DegradationConfig { ramp_backlog: 1536, ..DegradationConfig::default() }),
-            ..ServerModelConfig::default()
+            ladder: Some(DegradationConfig { ramp_backlog: 1536 }),
         },
         // Lightly loaded APs: at the default download frequency the
         // shared cross-traffic source keeps the hint gate closed for

@@ -42,12 +42,15 @@
 //! [`ServerModel`] is the capacity side of a public NTP server: a
 //! bounded FIFO service queue (arrivals beyond the backlog cap are
 //! dropped on the floor, as a real socket buffer would) plus the
-//! kiss-o'-death policy of RFC 5905 §7.4. The RATE policy mirrors the
-//! client-side ban bookkeeping in `sntp::health`: a client polling
-//! faster than the hard floor is always RATEd, and under overload the
-//! floor rises to `overload_min_poll`, which is clamped by construction
-//! to the 64 s back-off `sntp::health` imposes after a RATE kiss — so a
-//! client that honours its ban is never re-RATEd by the same server.
+//! kiss-o'-death policy of RFC 5905 §7.4. The backlog picks the active
+//! poll floor — [`HARD_MIN_POLL`], the ladder's [`RAMP_MIN_POLL`], or
+//! [`OVERLOAD_MIN_POLL`] under overload — and [`rate_limited`], the one
+//! min-poll check every server in the workspace shares (`sntp`'s
+//! `SimServer` and `ServerCore` call it too), decides whether the arrival
+//! draws a RATE kiss. The floors are constants, and a compile-time
+//! assertion keeps them ordered and at most the 64 s back-off
+//! `sntp::health` imposes after a RATE kiss — so a client that honours
+//! its ban is never re-RATEd by the same server.
 
 use std::collections::VecDeque;
 
@@ -67,17 +70,11 @@ pub struct ServerModelConfig {
     pub queue_capacity: usize,
     /// Time to serve one request once it reaches the head of the queue.
     pub service_time: SimDuration,
-    /// Hard per-client minimum poll spacing, seconds. Polling faster
-    /// than this always draws a RATE kiss, loaded or not.
-    pub min_poll_secs: f64,
-    /// Per-client minimum poll spacing enforced while overloaded,
-    /// seconds. Clamped to the 64 s RATE ban of `sntp::health` so a
-    /// ban-honouring client can never be re-RATEd.
-    pub overload_min_poll_secs: f64,
-    /// Backlog length at which the overload poll floor kicks in.
+    /// Backlog length at which [`OVERLOAD_MIN_POLL`] replaces
+    /// [`HARD_MIN_POLL`] as the poll floor.
     pub overload_backlog: usize,
     /// Optional graceful-degradation ladder (`None` — the default —
-    /// reproduces the two-rung policy above exactly).
+    /// keeps the two-floor policy above).
     pub ladder: Option<DegradationConfig>,
 }
 
@@ -86,8 +83,6 @@ impl Default for ServerModelConfig {
         ServerModelConfig {
             queue_capacity: 64,
             service_time: SimDuration::from_secs_f64(300e-6),
-            min_poll_secs: 2.0,
-            overload_min_poll_secs: 64.0,
             overload_backlog: 32,
             ladder: None,
         }
@@ -98,36 +93,60 @@ impl Default for ServerModelConfig {
 /// the hard floor and the overload floor, plus priority shedding of
 /// abusive pollers once the overload rung is reached.
 ///
-/// Rungs, by backlog depth: `[0, ramp_backlog)` → hard floor;
-/// `[ramp_backlog, overload_backlog)` → `ramp_min_poll_secs`;
-/// `[overload_backlog, ..)` → the overload floor, and arrivals from
-/// clients with `shed_strikes` consecutive RATE kisses are *shed*
+/// Rungs, by backlog depth: `[0, ramp_backlog)` → [`HARD_MIN_POLL`];
+/// `[ramp_backlog, overload_backlog)` → [`RAMP_MIN_POLL`];
+/// `[overload_backlog, ..)` → [`OVERLOAD_MIN_POLL`], and arrivals from
+/// clients with [`SHED_STRIKES`] consecutive RATE kisses are *shed*
 /// (silently dropped) before compliant clients lose queue space. A
 /// compliant gap (at or beyond the active floor) clears a client's
-/// strikes. Every rung stays clamped to [`HEALTH_RATE_BAN_SECS`], so
-/// the ban-compliance invariant of the base policy carries over.
+/// strikes. No floor exceeds [`HEALTH_RATE_BAN_SECS`], so the
+/// ban-compliance invariant of the base policy carries over.
 #[derive(Clone, Copy, Debug)]
 pub struct DegradationConfig {
-    /// Backlog length at which the ramp rung engages.
+    /// Backlog length at which the ramp rung engages. Clamped to the
+    /// server's `overload_backlog`.
     pub ramp_backlog: usize,
-    /// Per-client minimum poll spacing on the ramp rung, seconds.
-    /// Clamped into `[min_poll_secs, overload_min_poll_secs]`.
-    pub ramp_min_poll_secs: f64,
-    /// Consecutive RATE kisses after which an arrival is shed instead
-    /// of answered while the overload rung is active.
-    pub shed_strikes: u8,
 }
 
 impl Default for DegradationConfig {
     fn default() -> Self {
-        DegradationConfig { ramp_backlog: 16, ramp_min_poll_secs: 16.0, shed_strikes: 3 }
+        DegradationConfig { ramp_backlog: 16 }
     }
 }
 
-/// The 64 s back-off `sntp::health` applies after a RATE kiss. The
-/// overload poll floor is clamped to this so the server never demands a
-/// longer spacing than the ban the client already serves.
+/// The 64 s back-off `sntp::health` applies after a RATE kiss. No poll
+/// floor exceeds it, so the server never demands a longer spacing than
+/// the ban the client already serves.
 pub const HEALTH_RATE_BAN_SECS: f64 = 64.0;
+
+/// Hard per-client minimum poll spacing: polling faster than this always
+/// draws a RATE kiss, loaded or not.
+pub const HARD_MIN_POLL: SimDuration = SimDuration::from_secs(2);
+
+/// Per-client minimum poll spacing on the ladder's ramp rung.
+pub const RAMP_MIN_POLL: SimDuration = SimDuration::from_secs(16);
+
+/// Per-client minimum poll spacing while overloaded: the RATE ban itself.
+pub const OVERLOAD_MIN_POLL: SimDuration = SimDuration::from_secs(64);
+
+/// Consecutive RATE kisses after which the ladder sheds a client's
+/// arrivals while the overload rung is active.
+pub const SHED_STRIKES: u8 = 3;
+
+const _: () = assert!(
+    HARD_MIN_POLL.as_nanos() <= RAMP_MIN_POLL.as_nanos()
+        && RAMP_MIN_POLL.as_nanos() <= OVERLOAD_MIN_POLL.as_nanos()
+        && OVERLOAD_MIN_POLL.as_nanos() as f64 <= HEALTH_RATE_BAN_SECS * 1e9,
+    "poll floors must be ordered and never exceed the RATE ban"
+);
+
+/// The min-poll rule: a known client whose previous arrival was at
+/// `prev_ns` (nanoseconds; `None` = never seen) and who polls again at
+/// `at` is rate limited when the gap is below `floor`. A first poll
+/// never is. Every server in the workspace decides RATE through this.
+pub fn rate_limited(prev_ns: Option<i64>, at: SimTime, floor: SimDuration) -> bool {
+    prev_ns.is_some_and(|p| at.as_nanos() - p < floor.as_nanos())
+}
 
 /// What the server decided to do with one arrival.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -195,17 +214,10 @@ pub struct ServerModel {
 }
 
 impl ServerModel {
-    /// Empty model. `overload_min_poll_secs` is clamped into
-    /// `[min_poll_secs, HEALTH_RATE_BAN_SECS]`, and the ladder's ramp
-    /// rung into `[min_poll_secs, overload_min_poll_secs]`.
+    /// Empty model. The ladder's `ramp_backlog` is clamped to
+    /// `overload_backlog`.
     pub fn new(mut cfg: ServerModelConfig) -> Self {
-        cfg.overload_min_poll_secs = cfg
-            .overload_min_poll_secs
-            .clamp(cfg.min_poll_secs, HEALTH_RATE_BAN_SECS);
         if let Some(ladder) = &mut cfg.ladder {
-            ladder.ramp_min_poll_secs = ladder
-                .ramp_min_poll_secs
-                .clamp(cfg.min_poll_secs, cfg.overload_min_poll_secs);
             ladder.ramp_backlog = ladder.ramp_backlog.min(cfg.overload_backlog);
         }
         ServerModel {
@@ -225,15 +237,20 @@ impl ServerModel {
         self.queue.len()
     }
 
-    /// Configured policy.
-    pub fn config(&self) -> &ServerModelConfig {
-        &self.cfg
-    }
-
     /// Admit one request from `client` arriving at `at` and decide its
     /// fate. Out-of-order arrivals are clamped forward to the latest
     /// arrival already processed.
     pub fn on_arrival(&mut self, client: u32, at: SimTime) -> ServiceDecision {
+        let decision = self.decide(client, at);
+        let s = &self.stats;
+        debug_assert!(
+            s.arrivals == s.served + s.kod_sent + s.dropped + s.shed,
+            "server model lost an arrival: {s:?}"
+        );
+        decision
+    }
+
+    fn decide(&mut self, client: u32, at: SimTime) -> ServiceDecision {
         let at = at.max(self.horizon);
         self.horizon = at;
         self.stats.arrivals += 1;
@@ -248,14 +265,14 @@ impl ServerModel {
         let idx = client as usize;
 
         // Ladder rung 2, shedding: under overload an arrival from a
-        // client with `shed_strikes` consecutive RATE kisses is dropped
+        // client with `SHED_STRIKES` consecutive RATE kisses is dropped
         // before it can take queue space from a compliant client.
-        if let Some(ladder) = self.cfg.ladder {
-            let strikes = self.strikes.get(idx).copied().unwrap_or(0);
-            if overloaded && strikes >= ladder.shed_strikes {
-                self.stats.shed += 1;
-                return ServiceDecision::Dropped;
-            }
+        if self.cfg.ladder.is_some()
+            && overloaded
+            && self.strikes.get(idx).is_some_and(|&s| s >= SHED_STRIKES)
+        {
+            self.stats.shed += 1;
+            return ServiceDecision::Dropped;
         }
 
         if self.queue.len() >= self.cfg.queue_capacity {
@@ -263,19 +280,17 @@ impl ServerModel {
             return ServiceDecision::Dropped;
         }
 
-        // RATE policy: hard floor always; with the ladder, the ramp
-        // floor on middling backlog; overload floor (≤ the 64 s health
-        // ban) while the backlog is deep.
-        let ramp_floor = self.cfg.ladder.and_then(|l| {
-            (self.queue.len() >= l.ramp_backlog).then_some(l.ramp_min_poll_secs)
-        });
-        let prev = self.last_seen.get(idx).copied().unwrap_or(i64::MIN);
-        let kod = prev != i64::MIN && {
-            let gap = (at - SimTime(prev)).as_secs_f64();
-            gap < self.cfg.min_poll_secs
-                || (overloaded && gap < self.cfg.overload_min_poll_secs)
-                || ramp_floor.is_some_and(|floor| gap < floor)
+        // RATE policy: the deepest rung the backlog reaches sets the
+        // floor — overload, else (with the ladder) ramp, else hard.
+        let floor = if overloaded {
+            OVERLOAD_MIN_POLL
+        } else if self.cfg.ladder.is_some_and(|l| self.queue.len() >= l.ramp_backlog) {
+            RAMP_MIN_POLL
+        } else {
+            HARD_MIN_POLL
         };
+        let prev = self.last_seen.get(idx).copied().filter(|&p| p != i64::MIN);
+        let kod = rate_limited(prev, at, floor);
         if idx >= self.last_seen.len() {
             self.last_seen.resize(idx + 1, i64::MIN);
         }
@@ -598,16 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_floor_never_exceeds_health_ban() {
-        let cfg = ServerModelConfig {
-            overload_min_poll_secs: 500.0, // misconfigured: must clamp
-            ..ServerModelConfig::default()
-        };
-        let m = ServerModel::new(cfg);
-        assert!(m.config().overload_min_poll_secs <= HEALTH_RATE_BAN_SECS);
-    }
-
-    #[test]
     fn out_of_order_arrivals_clamp_forward() {
         let mut m = ServerModel::new(ServerModelConfig::default());
         m.on_arrival(0, secs(5.0));
@@ -706,11 +711,7 @@ mod tests {
         let cfg = ServerModelConfig {
             service_time: SimDuration::from_secs_f64(30.0),
             overload_backlog: 8,
-            ladder: Some(DegradationConfig {
-                ramp_backlog: 2,
-                ramp_min_poll_secs: 16.0,
-                shed_strikes: 200,
-            }),
+            ladder: Some(DegradationConfig { ramp_backlog: 2 }),
             ..ServerModelConfig::default()
         };
         let mut m = ServerModel::new(cfg);
@@ -737,11 +738,7 @@ mod tests {
         let cfg = ServerModelConfig {
             service_time: SimDuration::from_secs_f64(30.0),
             overload_backlog: 4,
-            ladder: Some(DegradationConfig {
-                ramp_backlog: 2,
-                ramp_min_poll_secs: 4.0,
-                shed_strikes: 2,
-            }),
+            ladder: Some(DegradationConfig { ramp_backlog: 2 }),
             ..ServerModelConfig::default()
         };
         let mut m = ServerModel::new(cfg);
@@ -749,23 +746,21 @@ mod tests {
         for c in 10..16u32 {
             m.on_arrival(c, secs(1.0));
         }
-        // Client 0 hammers at 0.5 s spacing: two RATE kisses earn the
-        // strikes, then arrivals are shed while overload persists.
+        // Client 0 hammers at 0.5 s spacing: `SHED_STRIKES` RATE kisses
+        // earn the strikes, then arrivals are shed while overload persists.
         m.on_arrival(0, secs(2.0));
-        assert!(matches!(
-            m.on_arrival(0, secs(2.5)),
-            ServiceDecision::Served { kod: true, .. }
-        ));
-        assert!(matches!(
-            m.on_arrival(0, secs(3.0)),
-            ServiceDecision::Served { kod: true, .. }
-        ));
+        for k in 1..=SHED_STRIKES {
+            assert!(matches!(
+                m.on_arrival(0, secs(2.0 + 0.5 * f64::from(k))),
+                ServiceDecision::Served { kod: true, .. }
+            ));
+        }
         let before = m.stats.shed;
-        assert_eq!(m.on_arrival(0, secs(3.5)), ServiceDecision::Dropped);
+        assert_eq!(m.on_arrival(0, secs(4.0)), ServiceDecision::Dropped);
         assert_eq!(m.stats.shed, before + 1);
         // A compliant client at the same instant is still served.
         assert!(matches!(
-            m.on_arrival(20, secs(3.5)),
+            m.on_arrival(20, secs(4.0)),
             ServiceDecision::Served { .. }
         ));
         // Once the queue drains (no overload), the striker is answered
@@ -857,7 +852,7 @@ mod proptests {
         /// RFC 5905 ban compliance: a client spaced at or beyond the
         /// 64 s RATE back-off of `sntp::health` is never RATEd, no
         /// matter what load the rest of the fleet applies — the overload
-        /// poll floor is clamped to the ban by construction.
+        /// poll floor never exceeds the ban.
         fn ban_honoring_client_never_rated(
             load_clients in prop::vecs(prop::ints(1..40), 1..300),
             load_gaps_ms in prop::vecs(prop::ints(0..300), 1..300),
@@ -902,17 +897,15 @@ mod proptests {
         /// of the degradation ladder engaged (ramp floor, overload
         /// floor, strike shedding) *and* restarts injected mid-run, a
         /// client spaced at or beyond the 64 s ban is still never RATEd
-        /// and never shed — every rung is clamped to the ban, strikes
-        /// require a RATE first, and restarts cold-start the rate table
-        /// instead of mass-RATE-ing the recovering herd.
+        /// and never shed — no floor exceeds the ban, strikes require a
+        /// RATE first, and restarts cold-start the rate table instead of
+        /// mass-RATE-ing the recovering herd.
         fn ban_honoring_client_survives_ladder_and_restart(
             load_clients in prop::vecs(prop::ints(1..40), 1..300),
             load_gaps_ms in prop::vecs(prop::ints(0..300), 1..300),
             honor_slack_s in prop::vecs(prop::ints(0..30), 5..20),
             restart_at_s in prop::vecs(prop::ints(1..2000), 0..4),
             ramp_backlog in prop::ints(0..8),
-            ramp_floor_s in prop::ints(1..200),
-            shed_strikes in prop::ints(1..6),
         ) {
             let mut events: Vec<(f64, u32)> = Vec::new();
             let mut t = 0.0f64;
@@ -934,13 +927,7 @@ mod proptests {
                 queue_capacity: 16,
                 service_time: SimDuration::from_secs_f64(0.2),
                 overload_backlog: 2,
-                ladder: Some(DegradationConfig {
-                    ramp_backlog: ramp_backlog as usize,
-                    // Deliberately absurd floors: clamping must save us.
-                    ramp_min_poll_secs: ramp_floor_s as f64,
-                    shed_strikes: shed_strikes as u8,
-                }),
-                ..ServerModelConfig::default()
+                ladder: Some(DegradationConfig { ramp_backlog: ramp_backlog as usize }),
             };
             let mut m = ServerModel::new(cfg);
             let mut restarts = restarts.into_iter().peekable();

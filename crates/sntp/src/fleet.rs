@@ -32,7 +32,7 @@ use clocksim::ClockControl;
 use netsim::faults::{FaultInjector, PacketFate};
 use netsim::fleet::{ServerModel, ServiceDecision};
 use netsim::wifi::ChannelIo;
-use ntp_wire::{refid::RefId, NtpDuration, NtpPacket, NtpShort};
+use ntp_wire::{refid::RefId, NtpDuration, NtpPacket, NtpShort, PacketView, PACKET_LEN};
 
 use crate::client::{ReplyOutcome, SntpClient};
 use crate::exchange::{CompletedExchange, ExchangeError, ExchangeHooks, TracedPacket};
@@ -94,9 +94,8 @@ pub struct FleetRequestInFlight {
     /// The client protocol state (holds the origin timestamp for the
     /// echo check on the reply).
     pub client: SntpClient,
-    /// Parsed (and possibly ntpd-shaped) request.
-    pub request: NtpPacket,
-    /// Serialized request bytes, as a capture would record them.
+    /// Serialized (possibly ntpd-shaped) request bytes, as a capture
+    /// would record them.
     pub request_bytes: Vec<u8>,
     /// Last-hop uplink delay already paid.
     pub hop_up: SimDuration,
@@ -111,9 +110,9 @@ pub struct FleetRequestInFlight {
 /// everything phase 3 needs from phase 2.
 #[derive(Clone, Debug)]
 pub struct FleetReplyInFlight {
-    /// Serialized reply bytes, as they will land (corrupted in flight
-    /// when the fault layer says so).
-    pub reply_bytes: Vec<u8>,
+    /// Reply bytes, as they will land (corrupted in flight when the
+    /// fault layer says so).
+    pub reply_bytes: [u8; PACKET_LEN],
     /// True departure time of the reply at the server.
     pub departure: SimTime,
     /// Backbone downlink delay already paid, extra fault-layer delay
@@ -168,10 +167,10 @@ pub fn begin_fleet_exchange<C: ChannelIo>(
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
     let mut request_bytes = client.make_request(t1);
-    let Ok(mut request) = NtpPacket::parse(&request_bytes) else {
-        return Err(ExchangeError::RejectedReply);
-    };
     if shape == RequestShape::Ntpd {
+        let Ok(mut request) = NtpPacket::parse(&request_bytes) else {
+            return Err(ExchangeError::RejectedReply);
+        };
         ntpd_shape(&mut request, client_id);
         request_bytes = request.serialize();
     }
@@ -188,7 +187,7 @@ pub fn begin_fleet_exchange<C: ChannelIo>(
     let Some(hop_up) = chan.transmit_up(t) else {
         return Err(ExchangeError::LostLastHopUp);
     };
-    Ok(FleetRequestInFlight { client, request, request_bytes, hop_up, t_eff: t, server_id })
+    Ok(FleetRequestInFlight { client, request_bytes, hop_up, t_eff: t, server_id })
 }
 
 /// Phase 2 (server side): backbone uplink, admission, service, backbone
@@ -213,6 +212,10 @@ pub fn serve_fleet_exchange(
     client_id: u32,
     hooks: &mut ExchangeHooks<'_>,
 ) -> (Option<FleetArrival>, Result<FleetReplyInFlight, ExchangeError>) {
+    // Phase 1 built these bytes, so they always validate.
+    let Ok(request) = PacketView::new(&inflight.request_bytes) else {
+        return (None, Err(ExchangeError::RejectedReply));
+    };
     // WAP → server across the backbone.
     let bb_up = {
         let SimServer { backbone_up, rng, .. } = server;
@@ -244,7 +247,7 @@ pub fn serve_fleet_exchange(
         None => server.admit(u64::from(client_id), arrival_at),
     };
     arrival.kod = kod;
-    let (mut reply_bytes, departure) = server.serve(&inflight.request, arrival_at, depart, kod);
+    let (mut reply_bytes, departure) = server.serve(&request, arrival_at, depart, kod);
 
     let fate = match hooks.faults.as_deref_mut() {
         Some(faults) => match faults.downlink_fate(departure, server.id) {
@@ -306,7 +309,7 @@ pub fn complete_fleet_exchange<C: ChannelIo>(
     let back = reply.bb_down + hop_down;
     let completed_at = reply.departure + back;
     if let Some(capture) = hooks.capture.as_deref_mut() {
-        let bytes = reply.reply_bytes.clone();
+        let bytes = reply.reply_bytes.to_vec();
         capture.push(TracedPacket { at: completed_at, outbound: false, bytes });
     }
 

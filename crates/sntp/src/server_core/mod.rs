@@ -1,7 +1,7 @@
 //! The batched server-side throughput engine.
 //!
-//! The fleet experiments model the server as [`crate::SimServer`] — parse
-//! one packet, build one reply struct, heap-allocate its bytes. That is
+//! The fleet experiments model the server as [`crate::SimServer`] — one
+//! request at a time, behind backbone links and a wobbling clock. That is
 //! the right fidelity for simulation, and three orders of magnitude off a
 //! production ingest path. This module is the production shape: requests
 //! arrive as raw bytes in a preallocated arena ([`RequestRing`]), flow
@@ -9,10 +9,13 @@
 //! in-place reply emission, see [`pipeline`]), and leave as a contiguous
 //! reply stream ([`ReplyRing`]) without a single per-packet allocation.
 //!
-//! Semantics are pinned to the sim: a `ServerCore` with clock error *e*
-//! produces byte-for-byte the replies a wobble-free `SimServer` would,
-//! including kiss-o'-death fates — property-tested in
-//! `crates/sntp/tests/server_core_equivalence.rs`. Scale-out is
+//! Both servers share their policy and their bytes: the RATE decision is
+//! netsim's `fleet::rate_limited` check (the one the fleet's
+//! `ServerModel` uses too), and replies come from the same `ntp-wire`
+//! writers. So a `ServerCore` with clock error *e* produces byte-for-byte
+//! the replies a wobble-free `SimServer` would, including kiss-o'-death
+//! fates — property-tested in `tests/server_core_equivalence.rs` at the
+//! workspace root. Scale-out is
 //! deterministic: per-client shard routing plus a serial positional merge
 //! keeps the reply stream identical at any (shards, jobs); throughput is
 //! tracked by the `server_core_*` benches against
@@ -28,5 +31,5 @@ pub mod pipeline;
 pub mod table;
 
 pub use arena::{Fate, ReplyRing, RequestMeta, RequestRing, SLOT};
-pub use pipeline::{CoreConfig, CoreDegradation, CoreStats, ServerCore};
+pub use pipeline::{CoreConfig, CoreStats, ServerCore};
 pub use table::{shard_of, RateTable};

@@ -8,8 +8,10 @@
 //!    ([`ntp_wire::PacketView`]) and tag it SNTP-shaped, NTP-shaped, or
 //!    malformed. Pure per-packet work, no shared state.
 //! 2. **Discipline bookkeeping** — one [`RateTable::upsert`] per valid
-//!    request decides service vs RATE kiss-o'-death from the client's
-//!    previous arrival. The only stateful stage, and the reason for
+//!    request hands the client's previous arrival to netsim's shared
+//!    [`rate_limited`] check, which decides service vs RATE
+//!    kiss-o'-death — the same rule `SimServer` and the fleet's
+//!    `ServerModel` apply. The only stateful stage, and the reason for
 //!    sharding: each shard owns the table for its slice of the key space.
 //! 3. **Emit** — write the reply bytes in place (allocation-free
 //!    `ntp-wire` writers) and accumulate the batch's [`CoreStats`] log
@@ -30,6 +32,7 @@
 
 use clocksim::time::SimDuration;
 use devtools::par::Pool;
+use netsim::fleet::rate_limited;
 use ntp_wire::{refid::RefId, sntp_profile, NtpDuration, NtpPacket};
 
 use super::arena::{Fate, ReplyRing, RequestRing};
@@ -62,11 +65,6 @@ pub struct CoreConfig {
     /// part of the engine's *shape*, not its behavior: replies are
     /// byte-identical at any value.
     pub shards: usize,
-    /// Graceful-degradation ladder: adaptive RATE floors plus priority
-    /// shedding of repeat offenders, engaged by batch size. `None` (the
-    /// default) disables the ladder entirely — byte-identical to the
-    /// pre-ladder engine.
-    pub degraded: Option<CoreDegradation>,
 }
 
 impl Default for CoreConfig {
@@ -79,79 +77,6 @@ impl Default for CoreConfig {
             min_poll_interval: None,
             table_capacity: 1024,
             shards: 1,
-            degraded: None,
-        }
-    }
-}
-
-/// The graceful-degradation ladder. The batch size the caller hands to
-/// [`ServerCore::process_batch_on`] is the engine's backlog proxy — it is
-/// what an ingest loop actually sees when it drains its socket — and it
-/// selects one of three rungs *per batch, serially, before the shard
-/// fan-out*, so the rung (like everything else) is identical at any
-/// (shards, jobs):
-///
-/// 1. **Nominal** (`len < ramp_batch`): base policy only.
-/// 2. **Ramped** (`len ≥ ramp_batch`): the minimum poll interval is
-///    raised to at least `ramp_min_poll` — eager pollers draw RATE sooner,
-///    which is the protocol-honest way to ask a herd to back off.
-/// 3. **Overloaded** (`len ≥ overload_batch`): the floor rises to
-///    `overload_min_poll` and *priority shedding* arms: a client whose
-///    strike count (consecutive rate-limit violations since its last
-///    compliant poll) has reached `shed_strikes` is dropped without any
-///    reply at all ([`Fate::Shed`]) — abusive pollers that ignore RATE
-///    stop costing reply bandwidth, while first offenders still get the
-///    kiss telling them to slow down.
-///
-/// Strikes accumulate whenever a ladder is configured (even on the
-/// nominal rung) and reset on any compliant arrival, so a client that
-/// honors RATE is never shed.
-#[derive(Clone, Copy, Debug)]
-pub struct CoreDegradation {
-    /// Batch size at which the ramp rung engages.
-    pub ramp_batch: usize,
-    /// Raised minimum poll interval while ramped (floors the base
-    /// `min_poll_interval`; the larger of the two wins).
-    pub ramp_min_poll: SimDuration,
-    /// Batch size at which the overload rung (and shedding) engages.
-    pub overload_batch: usize,
-    /// Minimum poll interval while overloaded.
-    pub overload_min_poll: SimDuration,
-    /// Consecutive violations after which an offender is shed while the
-    /// overload rung is active.
-    pub shed_strikes: u8,
-}
-
-impl Default for CoreDegradation {
-    fn default() -> Self {
-        CoreDegradation {
-            ramp_batch: 1024,
-            ramp_min_poll: SimDuration::from_secs(16),
-            overload_batch: 4096,
-            overload_min_poll: SimDuration::from_secs(64),
-            shed_strikes: 3,
-        }
-    }
-}
-
-/// The per-batch rung `CoreDegradation` resolved to: an optional poll
-/// floor plus whether shedding is armed. Computed once, serially, from
-/// the batch length; copied into every shard stage.
-#[derive(Clone, Copy, Debug, Default)]
-struct LadderRung {
-    floor: Option<SimDuration>,
-    shedding: bool,
-}
-
-impl LadderRung {
-    fn for_batch(cfg: &CoreConfig, batch_len: usize) -> Self {
-        let Some(d) = cfg.degraded else { return LadderRung::default() };
-        if batch_len >= d.overload_batch {
-            LadderRung { floor: Some(d.overload_min_poll), shedding: true }
-        } else if batch_len >= d.ramp_batch {
-            LadderRung { floor: Some(d.ramp_min_poll), shedding: false }
-        } else {
-            LadderRung::default()
         }
     }
 }
@@ -171,17 +96,12 @@ pub struct CoreStats {
     pub sntp_shaped: u64,
     /// Valid requests with any other shape (ntpd-style pollers etc.).
     pub other_shaped: u64,
-    /// Valid requests dropped without reply by the degradation ladder's
-    /// priority shed.
-    pub shed: u64,
-    /// Times [`ServerCore::restart`] wiped the per-client state.
-    pub restarts: u64,
 }
 
 impl CoreStats {
     /// Total datagrams examined.
     pub fn total(&self) -> u64 {
-        self.served + self.kod + self.malformed + self.shed
+        self.served + self.kod + self.malformed
     }
 
     fn add(&mut self, o: &CoreStats) {
@@ -190,7 +110,6 @@ impl CoreStats {
         self.malformed += o.malformed;
         self.sntp_shaped += o.sntp_shaped;
         self.other_shaped += o.other_shaped;
-        self.shed += o.shed;
     }
 }
 
@@ -206,10 +125,6 @@ enum Class {
 /// scratch reused across batches.
 struct CoreShard {
     table: RateTable,
-    /// Consecutive rate-limit violations per client since its last
-    /// compliant arrival. Only touched when a ladder is configured;
-    /// client-keyed like `table`, so strike history is shard-invariant.
-    strikes: RateTable,
     /// Batch indices routed to this shard, in arrival order.
     picked: Vec<u32>,
     /// Stage-1 verdicts, parallel to `picked`.
@@ -224,7 +139,6 @@ impl CoreShard {
     fn new(table_capacity: usize) -> Self {
         CoreShard {
             table: RateTable::with_capacity(table_capacity),
-            strikes: RateTable::with_capacity(16),
             picked: Vec::new(),
             classes: Vec::new(),
             scratch: ReplyRing::new(),
@@ -251,51 +165,19 @@ impl CoreShard {
     /// Stage 2 — discipline bookkeeping: one table upsert per valid
     /// request decides its fate. Same semantics as `SimServer::handle`:
     /// with rate limiting off, no state is touched and everything valid
-    /// is served. `rung` is this batch's degradation rung, resolved
-    /// serially by the caller: it can raise the effective poll floor and,
-    /// while overloaded, escalate repeat offenders from `Kod` to `Shed`.
-    fn stage_rate_limit(&mut self, cfg: &CoreConfig, reqs: &RequestRing, rung: LadderRung) {
+    /// is served.
+    fn stage_rate_limit(&mut self, cfg: &CoreConfig, reqs: &RequestRing) {
         self.scratch.begin_batch(self.picked.len());
-        let ladder = cfg.degraded.is_some();
-        let shed_at = cfg.degraded.map_or(i64::MAX, |d| i64::from(d.shed_strikes).max(1));
         for (j, (&idx, &class)) in self.picked.iter().zip(&self.classes).enumerate() {
             if class == Class::Malformed {
                 continue; // fate stays Malformed
             }
             let Some((meta, _)) = reqs.get(idx as usize) else { continue };
-            let min = match (cfg.min_poll_interval, rung.floor) {
-                (Some(m), Some(f)) => Some(m.max(f)),
-                (m, None) => m,
-                (None, f) => f,
-            };
-            let mut too_fast = false;
-            if let Some(min) = min {
-                let arrival_ns = meta.arrival.as_nanos();
-                let prev = self.table.upsert(meta.client, arrival_ns);
-                too_fast = prev.is_some_and(|p| arrival_ns - p < min.as_nanos());
-            }
-            let fate = if too_fast {
-                let strikes = if ladder {
-                    let s = self.strikes.get(meta.client).unwrap_or(0) + 1;
-                    self.strikes.upsert(meta.client, s);
-                    s
-                } else {
-                    0
-                };
-                if rung.shedding && strikes >= shed_at {
-                    Fate::Shed
-                } else {
-                    Fate::Kod
-                }
-            } else {
-                // A compliant arrival clears the record: honoring the
-                // kiss is what keeps a client off the shed list.
-                if ladder && self.strikes.get(meta.client).is_some_and(|s| s != 0) {
-                    self.strikes.upsert(meta.client, 0);
-                }
-                Fate::Time
-            };
-            self.scratch.set_fate(j, fate);
+            let kod = cfg.min_poll_interval.is_some_and(|floor| {
+                let prev = self.table.upsert(meta.client, meta.arrival.as_nanos());
+                rate_limited(prev, meta.arrival, floor)
+            });
+            self.scratch.set_fate(j, if kod { Fate::Kod } else { Fate::Time });
         }
     }
 
@@ -306,11 +188,6 @@ impl CoreShard {
             let Some(fate) = self.scratch.fate(j) else { continue };
             if fate == Fate::Malformed {
                 self.stats.malformed += 1;
-                continue;
-            }
-            if fate == Fate::Shed {
-                // Shed is silence: the slot stays zeroed, no bytes go out.
-                self.stats.shed += 1;
                 continue;
             }
             let Some((meta, wire)) = reqs.get(idx as usize) else { continue };
@@ -346,9 +223,9 @@ impl CoreShard {
         }
     }
 
-    fn run_stages(&mut self, cfg: &CoreConfig, reqs: &RequestRing, rung: LadderRung) {
+    fn run_stages(&mut self, cfg: &CoreConfig, reqs: &RequestRing) {
         self.stage_classify(reqs);
-        self.stage_rate_limit(cfg, reqs, rung);
+        self.stage_rate_limit(cfg, reqs);
         self.stage_emit(cfg, reqs);
     }
 }
@@ -390,22 +267,6 @@ impl ServerCore {
     /// Distinct clients currently tracked across all shard tables.
     pub fn clients_tracked(&self) -> usize {
         self.shards.iter().map(|s| s.table.len()).sum()
-    }
-
-    /// Model a process restart: every shard forgets its per-client
-    /// arrival and strike state (capacity, config, and cumulative stats
-    /// survive — a restarted daemon keeps its logs). The point is the
-    /// recovery behavior: with the tables cold, the first post-restart
-    /// poll from every client — including the reconnecting herd — has no
-    /// previous arrival on record, so ban-honoring clients are *served*,
-    /// not mass-RATE'd, and strike records don't carry a pre-restart
-    /// grudge into the new process.
-    pub fn restart(&mut self) {
-        for shard in &mut self.shards {
-            shard.table.clear();
-            shard.strikes.clear();
-        }
-        self.stats.restarts += 1;
     }
 
     /// Run only stage 1 (ingest/classify) over a batch, serially — the
@@ -456,15 +317,11 @@ impl ServerCore {
                 shard.picked.push(idx as u32);
             }
         }
-        // Resolve this batch's degradation rung serially, *before* the
-        // fan-out: the rung depends only on the batch length, so every
-        // shard sees the same policy at any (shards, jobs).
-        let rung = LadderRung::for_batch(&self.cfg, reqs.len());
         // Per-shard stages (parallel; each shard touches only its own
         // table and scratch).
         let cfg = self.cfg;
         pool.map(self.shards.iter_mut().collect::<Vec<_>>(), |shard| {
-            shard.run_stages(&cfg, reqs, rung)
+            shard.run_stages(&cfg, reqs)
         });
         // Merge (serial, in shard order): positional copy back into
         // request order, plus the log roll-up.
@@ -639,172 +496,5 @@ mod tests {
         core.process_batch(&batch(&[(3, 1000)]), &mut out);
         assert_eq!(core.stats().served, 3);
         assert_eq!(core.stats().total(), 3);
-    }
-
-    /// A small ladder that ramps at 4 requests/batch and overloads at 8,
-    /// shedding on the 2nd consecutive violation.
-    fn tiny_ladder() -> CoreDegradation {
-        CoreDegradation {
-            ramp_batch: 4,
-            ramp_min_poll: SimDuration::from_secs(16),
-            overload_batch: 8,
-            overload_min_poll: SimDuration::from_secs(64),
-            shed_strikes: 2,
-        }
-    }
-
-    #[test]
-    fn idle_ladder_is_byte_identical_to_no_ladder() {
-        let base = CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(8)),
-            clock_error: NtpDuration::from_millis(2),
-            ..CoreConfig::default()
-        };
-        let mk_reqs = || {
-            // 3-request batches: below even the tiny ladder's ramp rung.
-            batch(&[(1, 0), (2, 100), (1, 2000)])
-        };
-        let mut plain = ReplyRing::new();
-        ServerCore::new(base).process_batch(&mk_reqs(), &mut plain);
-        let mut laddered = ReplyRing::new();
-        let mut core = ServerCore::new(CoreConfig { degraded: Some(tiny_ladder()), ..base });
-        core.process_batch(&mk_reqs(), &mut laddered);
-        assert_eq!(plain.as_bytes(), laddered.as_bytes());
-        assert_eq!(plain.fates(), laddered.fates());
-        assert_eq!(core.stats().shed, 0);
-    }
-
-    #[test]
-    fn ramp_rung_raises_the_poll_floor() {
-        let mut core = ServerCore::new(CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(8)),
-            degraded: Some(tiny_ladder()),
-            ..CoreConfig::default()
-        });
-        // 4 requests -> ramp rung (floor 16 s). Client 7 re-polls after
-        // 10 s: fine under the base 8 s policy, too fast under the ramp.
-        let reqs = batch(&[(7, 0), (8, 10), (9, 20), (7, 10_000)]);
-        let mut out = ReplyRing::new();
-        core.process_batch(&reqs, &mut out);
-        assert_eq!(out.fates(), &[Fate::Time, Fate::Time, Fate::Time, Fate::Kod]);
-        assert_eq!(core.stats().kod, 1);
-        assert_eq!(core.stats().shed, 0, "ramp rung never sheds");
-    }
-
-    #[test]
-    fn overload_sheds_repeat_offenders_but_kods_first_offense() {
-        let mut core = ServerCore::new(CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(8)),
-            degraded: Some(tiny_ladder()),
-            ..CoreConfig::default()
-        });
-        // 8 requests -> overload rung. Client 1 hammers every 100 ms:
-        // first arrival served, strike 1 KoD'd, strikes >= 2 shed.
-        // Client 2 polls politely once and is served.
-        let reqs = batch(&[
-            (1, 0),
-            (1, 100),
-            (1, 200),
-            (1, 300),
-            (1, 400),
-            (1, 500),
-            (1, 600),
-            (2, 650),
-        ]);
-        let mut out = ReplyRing::new();
-        core.process_batch(&reqs, &mut out);
-        assert_eq!(out.fate(0), Some(Fate::Time));
-        assert_eq!(out.fate(1), Some(Fate::Kod));
-        for j in 2..7 {
-            assert_eq!(out.fate(j), Some(Fate::Shed), "arrival {j} should be shed");
-            assert_eq!(out.slot(j).unwrap(), &[0u8; SLOT], "shed slot must stay zeroed");
-        }
-        assert_eq!(out.fate(7), Some(Fate::Time));
-        assert_eq!(core.stats().shed, 5);
-        assert_eq!(core.stats().total(), 8);
-    }
-
-    #[test]
-    fn compliant_arrival_clears_the_strike_record() {
-        let mut core = ServerCore::new(CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(8)),
-            degraded: Some(tiny_ladder()),
-            ..CoreConfig::default()
-        });
-        let mut out = ReplyRing::new();
-        // Overloaded batch: client 5 earns one strike (KoD), then backs
-        // off past the overload floor — the compliant poll clears it.
-        let pad: Vec<(u64, i64)> = (100..106).map(|c| (c, 0)).collect();
-        let mut b1: Vec<(u64, i64)> = vec![(5, 0), (5, 100)];
-        b1.extend_from_slice(&pad);
-        core.process_batch(&batch(&b1), &mut out);
-        assert_eq!(out.fate(1), Some(Fate::Kod));
-        // Second overloaded batch, 100 s later: compliant poll serves and
-        // resets; the immediate re-poll is a *first* strike again -> KoD,
-        // not Shed.
-        let mut b2: Vec<(u64, i64)> = vec![(5, 100_000), (5, 100_100)];
-        b2.extend(pad.iter().map(|&(c, _)| (c, 100_000)));
-        core.process_batch(&batch(&b2), &mut out);
-        assert_eq!(out.fate(0), Some(Fate::Time));
-        assert_eq!(out.fate(1), Some(Fate::Kod), "cleared record means KoD, not Shed");
-    }
-
-    #[test]
-    fn restart_serves_returning_clients_without_mass_rate() {
-        let mut core = ServerCore::new(CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(8)),
-            degraded: Some(tiny_ladder()),
-            ..CoreConfig::default()
-        });
-        let mut out = ReplyRing::new();
-        core.process_batch(&batch(&[(1, 0), (2, 100), (3, 200)]), &mut out);
-        assert_eq!(core.clients_tracked(), 3);
-        core.restart();
-        assert_eq!(core.clients_tracked(), 0);
-        assert_eq!(core.stats().restarts, 1);
-        // The whole herd reconnects 1 s later — way inside the 8 s
-        // minimum interval, but the cold table has no previous arrival to
-        // hold against them: everyone is served.
-        core.process_batch(&batch(&[(1, 1000), (2, 1100), (3, 1200)]), &mut out);
-        assert_eq!(out.fates(), &[Fate::Time; 3]);
-    }
-
-    #[test]
-    fn sharded_ladder_matches_serial_reference() {
-        let mk_reqs = |n: u64| {
-            let mut ring = RequestRing::with_capacity(n as usize);
-            for i in 0..n {
-                // A few abusive clients hammering plus a polite majority.
-                let client = if i % 3 == 0 { i % 4 } else { 100 + i % 40 };
-                let at = i * 97 % 30_000;
-                ring.push(client, SimTime::from_millis(at as i64), &request_bytes(at as u32));
-            }
-            ring
-        };
-        let cfg = CoreConfig {
-            min_poll_interval: Some(SimDuration::from_secs(4)),
-            degraded: Some(tiny_ladder()),
-            ..CoreConfig::default()
-        };
-        // 256-request batches sit on the overload rung: floors and
-        // shedding are both live, and must still be shard-invariant.
-        let mut reference = ReplyRing::new();
-        let mut serial = ServerCore::new(CoreConfig { shards: 1, ..cfg });
-        serial.process_batch(&mk_reqs(256), &mut reference);
-        assert!(serial.stats().shed > 0, "test is vacuous without sheds");
-        for shards in [2usize, 4, 8] {
-            for jobs in [1usize, 4] {
-                let mut core = ServerCore::new(CoreConfig { shards, ..cfg });
-                let mut out = ReplyRing::new();
-                core.process_batch_on(&mk_reqs(256), &mut out, &Pool::with_jobs(jobs));
-                assert_eq!(
-                    out.as_bytes(),
-                    reference.as_bytes(),
-                    "laddered reply stream diverged at shards={shards} jobs={jobs}"
-                );
-                assert_eq!(out.fates(), reference.fates());
-                assert_eq!(core.stats(), serial.stats());
-            }
-        }
     }
 }

@@ -112,17 +112,6 @@ impl RateTable {
         }
     }
 
-    /// Drop every entry, keeping the allocated slots. This is the
-    /// process-restart model: the table's capacity (its memory) survives,
-    /// its knowledge of clients does not — so the first post-restart poll
-    /// from any client has no previous arrival to compare against and is
-    /// served, never RATE'd.
-    pub fn clear(&mut self) {
-        self.keys.fill(0);
-        self.ticks.fill(EMPTY_TICK);
-        self.len = 0;
-    }
-
     /// Double the slot count and reinsert every occupied entry.
     fn grow(&mut self) {
         let new_cap = self.keys.len().saturating_mul(2).max(16);

@@ -56,7 +56,9 @@ cargo test -q --release --offline --test parallel_equivalence fleet
 echo "== chaos fleet: fault timeline is jobs-invariant, lockstep replay =="
 cargo test -q --release --offline --test parallel_equivalence chaos
 
-echo "== server core: pinned to SimServer, (shards, jobs)-invariant =="
+echo "== servers: pinned admission, ServerModel ladder and ban compliance, core pinned to SimServer, (shards, jobs)-invariant =="
+cargo test -q --release --offline -p netsim --lib fleet::
+cargo test -q --release --offline -p sntp --lib server
 cargo test -q --release --offline --test server_core_equivalence
 cargo test -q --release --offline --test parallel_equivalence servercore
 
